@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Subcommands: graph, matchings, force, cycles, packing, poly, orbits,
-verify-paper. Worker count comes from --threads, then the FORCE_THREADS
-environment variable, then the available parallelism; outputs are assembled
-after a deterministic sort, so they are byte-identical for any worker count.
+verify-paper. The last three fan out over worker processes; their worker
+count comes from --threads, then the FORCE_THREADS environment variable,
+then the cores this process may use. Outputs are assembled after a
+deterministic sort, so they are byte-identical for any worker count.
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 internal
-consistency failure (the engines or orbit bookkeeping disagreed).
+consistency failure (the engines or orbit bookkeeping disagreed), 4 any other
+unexpected failure (a crash, reported with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .forcing import (
@@ -47,6 +50,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
+EXIT_UNEXPECTED = 4
 
 _ENGINES = {"cycles": "hitting_set", "subsets": "subset_search", "both": "both"}
 
@@ -57,7 +61,6 @@ class RunConfig:
     k: int = 2
     engine: str = "hitting_set"
     fmt: str = "table"
-    jobs: int = 1
     group: str = "rotation"
 
 
@@ -134,16 +137,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> RunConfig:
+def _jobs(args) -> int:
+    """Worker count for the subcommands that fan out: --threads, then
+    FORCE_THREADS, then the usable cores."""
     jobs = args.threads if args.threads is not None else default_jobs()
     if jobs < 1:
         raise DomainError("--threads must be >= 1")
+    return jobs
+
+
+def _config(args) -> RunConfig:
     return RunConfig(
         n=getattr(args, "n", 0),
         k=getattr(args, "k", 2),
         engine=_ENGINES[getattr(args, "engine", "cycles")],
         fmt=args.fmt,
-        jobs=jobs,
         group=getattr(args, "group", "rotation"),
     )
 
@@ -291,7 +299,7 @@ def cmd_packing(args, out) -> int:
 def cmd_poly(args, out) -> int:
     cfg = _config(args)
     g = build_gp(cfg.n, cfg.k)
-    matchings, results = forcing_report(g, engine=cfg.engine, jobs=cfg.jobs)
+    matchings, results = forcing_report(g, engine=cfg.engine, jobs=_jobs(args))
     coeffs: dict[int, int] = {}
     for r in results:
         coeffs[r.forcing_number] = coeffs.get(r.forcing_number, 0) + 1
@@ -335,7 +343,7 @@ def cmd_poly(args, out) -> int:
 def cmd_orbits(args, out) -> int:
     cfg = _config(args)
     g = build_gp(cfg.n, cfg.k)
-    matchings, results = forcing_report(g, engine=cfg.engine, jobs=cfg.jobs)
+    matchings, results = forcing_report(g, engine=cfg.engine, jobs=_jobs(args))
     table = orbit_table(g, matching_orbits(g, matchings, results, group=cfg.group))
     if cfg.fmt == "json":
         out.write(_dumps(table.to_json_dict()))
@@ -347,9 +355,7 @@ def cmd_orbits(args, out) -> int:
 
 
 def cmd_verify_paper(args, out) -> int:
-    jobs = args.threads if args.threads is not None else default_jobs()
-    if jobs < 1:
-        raise DomainError("--threads must be >= 1")
+    jobs = _jobs(args)
     if not PUBLISHED_RANGE.start <= args.n_min <= args.n_max <= PUBLISHED_RANGE.stop - 1:
         raise DomainError(
             f"published tables cover n = {PUBLISHED_RANGE.start}.."
@@ -407,6 +413,11 @@ def main(argv=None, out=None) -> int:
     except (EngineMismatch, OrbitInconsistency) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:
+        # exit 1 means a verification mismatch, so a crash must not surface as it
+        traceback.print_exc(file=sys.stderr)
+        print(f"unexpected failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_UNEXPECTED
 
 
 if __name__ == "__main__":

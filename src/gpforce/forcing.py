@@ -4,9 +4,9 @@ A subset S of a perfect matching M is a forcing set when no other perfect
 matching contains S; f(G, M) is the smallest size of such a subset. The two
 engines here must always agree:
 
-  * subset search: scan subsets of M by size and test each one directly by
-    counting perfect matchings that contain it (the definition, executed
-    literally);
+  * subset search: scan subsets of M by size and test each one directly
+    against every other perfect matching, forcing iff none contains it (the
+    definition, executed literally);
   * hitting set: S forces M exactly when S meets the matched edges of every
     M-alternating cycle, so f(G, M) is the minimum transversal of those
     cycles, found by branch and bound.
@@ -23,9 +23,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import _kernel
 from .graphs import DomainError, Graph
-from .matchings import count_matchings_containing, is_perfect_matching, iter_bits
+from .matchings import (
+    count_matchings_containing,
+    enumerate_perfect_matchings,
+    is_perfect_matching,
+    iter_bits,
+)
 
 
 class EngineMismatch(RuntimeError):
@@ -183,36 +187,42 @@ def forcing_number_by_hitting_set(g: Graph, m: int) -> ForcingResult:
     return ForcingResult(best_size, best_mask, "hitting_set")
 
 
-def _subset_search_py(g: Graph, m: int) -> ForcingResult:
-    medges = list(iter_bits(m))
-    for k in range(len(medges) + 1):
-        for combo in combinations(medges, k):
-            s = 0
-            for e in combo:
-                s |= 1 << e
-            if count_matchings_containing(g, s, limit=2) == 1:
-                return ForcingResult(k, s, "subset_search")
-    raise AssertionError("unreachable: a matching always forces itself")
+def _perfect_matchings(g: Graph) -> list[int]:
+    """All perfect matchings of g, enumerated once and memoized on the graph."""
+    ms = getattr(g, "_perfect_matchings", None)
+    if ms is None:
+        ms = g._perfect_matchings = enumerate_perfect_matchings(g)
+    return ms
 
 
 def forcing_number_by_subset_search(g: Graph, m: int) -> ForcingResult:
     """f(g, m) straight from the definition.
 
     For k = 0, 1, ... try every k-subset of m in lexicographic order by edge
-    index; a subset forces iff exactly one perfect matching contains it
-    (counted with early exit at two). Returns the first success. k = 0
-    covers graphs whose matching is already unique.
+    index; a subset forces iff no other perfect matching contains it.
+    Returns the first success. k = 0 covers graphs whose matching is already
+    unique. Each other matching o is reduced to its overlap o & m, and only
+    the inclusion-maximal overlaps are kept: a subset of m lies in some other
+    matching iff it lies in one of those.
     """
     if not is_perfect_matching(g, m):
         raise DomainError("not a perfect matching of this graph")
-    if not _kernel.eligible(g):
-        return _subset_search_py(g, m)
-    medges = list(iter_bits(m))
-    k, positions = _kernel.run_subset_search(g, medges)
-    witness = 0
-    for j in positions:
-        witness |= 1 << medges[j]
-    return ForcingResult(k, witness, "subset_search")
+    overlaps = sorted(
+        {o & m for o in _perfect_matchings(g) if o != m},
+        key=int.bit_count,
+        reverse=True,
+    )
+    maximal: list[int] = []
+    for q in overlaps:  # a superset of q, if any, came earlier
+        if all(q & ~p for p in maximal):
+            maximal.append(q)
+    bits = [1 << e for e in iter_bits(m)]
+    for k in range(len(bits) + 1):
+        for combo in combinations(bits, k):
+            s = sum(combo)
+            if all(s & ~q for q in maximal):
+                return ForcingResult(k, s, "subset_search")
+    raise AssertionError("unreachable: a matching always forces itself")
 
 
 def max_disjoint_alternating_cycles(g: Graph, m: int) -> CyclePacking:
@@ -276,7 +286,7 @@ def _pool_task(m: int) -> ForcingResult:
 
 
 def default_jobs() -> int:
-    """Worker count: FORCE_THREADS env var, else available parallelism."""
+    """Worker count: FORCE_THREADS env var, else the cores this process may use."""
     env = os.environ.get("FORCE_THREADS", "").strip()
     if env:
         try:
@@ -286,6 +296,8 @@ def default_jobs() -> int:
         if jobs < 1:
             raise DomainError("FORCE_THREADS must be >= 1")
         return jobs
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -306,9 +318,6 @@ def forcing_numbers_map(
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
         return [compute_forcing(g, m, engine) for m in matchings]
-    # compile kernels before forking so every worker inherits them; forking
-    # mid-JIT (or JIT-cache loads inside workers) is not reliable
-    _kernel.warmup()
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
         max_workers=jobs, mp_context=ctx, initializer=_pool_init, initargs=(g, engine)

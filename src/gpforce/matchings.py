@@ -7,7 +7,6 @@ mask operations at any supported size.
 
 from __future__ import annotations
 
-from . import _kernel
 from .graphs import DomainError, Graph
 
 _NO_LIMIT = 1 << 62
@@ -71,8 +70,7 @@ def enumerate_perfect_matchings(g: Graph) -> list[int]:
     return out
 
 
-def _count_capped_py(incident, full: int, covered: int, cap: int) -> int:
-    # reference counter; the numba kernel mirrors this exactly
+def _count_capped(incident, full: int, covered: int, cap: int) -> int:
     if covered == full:
         return 1
     rest = full & ~covered
@@ -82,7 +80,7 @@ def _count_capped_py(incident, full: int, covered: int, cap: int) -> int:
         wbit = 1 << w
         if covered & wbit:
             continue
-        total += _count_capped_py(incident, full, covered | vbit | wbit, cap)
+        total += _count_capped(incident, full, covered | vbit | wbit, cap)
         if total >= cap:
             break
     return total
@@ -114,11 +112,7 @@ def count_matchings_containing(g: Graph, s: int, limit: int | None = None) -> in
         raise DomainError(f"limit must be >= 1, got {limit}")
     covered = covered_vertices(g, s)
     cap = _NO_LIMIT if limit is None else limit
-    if _kernel.eligible(g) and cap <= _NO_LIMIT:
-        nbr, width = _kernel.neighbor_table(g)
-        count = _kernel.count_capped(nbr, width, g.full_vertex_mask, covered, cap)
-    else:
-        count = _count_capped_py(g.incident, g.full_vertex_mask, covered, cap)
+    count = _count_capped(g.incident, g.full_vertex_mask, covered, cap)
     return min(cap, count)
 
 

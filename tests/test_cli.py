@@ -7,7 +7,14 @@ import sys
 
 import pytest
 
-from gpforce.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, main
+from gpforce.cli import (
+    EXIT_DOMAIN,
+    EXIT_INTERNAL,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_UNEXPECTED,
+    main,
+)
 
 M1 = "u0-u2,u1-u3,u4-v4,v0-v1,v2-v3"
 M6 = "u0-v0,u1-v1,u2-v2,u3-v3,u4-v4"
@@ -200,3 +207,19 @@ def test_force_threads_env_is_honored(monkeypatch):
     monkeypatch.setenv("FORCE_THREADS", "zero")
     code, _ = run_cli("poly", "--n", "6")
     assert code == EXIT_DOMAIN
+
+
+def test_worker_free_commands_ignore_bad_force_threads(monkeypatch):
+    monkeypatch.setenv("FORCE_THREADS", "abc")
+    code, text = run_cli("graph", "--n", "5")
+    assert code == EXIT_OK and "valid" in text
+    code, _ = run_cli("poly", "--n", "5")
+    assert code == EXIT_DOMAIN
+
+
+def test_crash_exits_unexpected_not_mismatch(capsys):
+    # enumeration recurses once per matched edge, so 1500 edges deep
+    # overflows the interpreter stack
+    code, _ = run_cli("matchings", "--n", "1500")
+    assert code == EXIT_UNEXPECTED
+    assert "RecursionError" in capsys.readouterr().err

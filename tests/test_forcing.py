@@ -1,5 +1,7 @@
 """Both forcing engines, alternating-cycle enumeration, and cycle packings."""
 
+from itertools import combinations
+
 import pytest
 
 from conftest import (
@@ -19,6 +21,7 @@ from gpforce.forcing import (
 )
 from gpforce.graphs import DomainError, build_gp
 from gpforce.matchings import (
+    count_matchings_containing,
     edge_indices,
     edge_set,
     enumerate_perfect_matchings,
@@ -173,18 +176,27 @@ def test_engines_agree_with_brute_force():
             assert forcing_number_by_subset_search(g, m).forcing_number == expected
 
 
-def test_subset_search_python_fallback_matches_kernel():
-    from gpforce.forcing import _subset_search_py
+def count_based_subset_search(g, m):
+    # reference search: lexicographic k-subsets, each tested by counting the
+    # perfect matchings that contain it; shares no code with the scan
+    medges = list(iter_bits(m))
+    for k in range(len(medges) + 1):
+        for combo in combinations(medges, k):
+            s = edge_set(combo)
+            if count_matchings_containing(g, s, limit=2) == 1:
+                return k, s
+    raise AssertionError("unreachable: a matching always forces itself")
 
-    for n in (5, 6, 8):
-        g = build_gp(n, 2)
+
+def test_subset_search_matches_count_based_search():
+    graphs = [build_gp(n, 2) for n in range(5, 15)]
+    graphs += [build_gp(7, 3), build_gp(9, 4), build_gp(11, 3)]
+    for g in graphs:
         for m in enumerate_perfect_matchings(g):
-            fast = forcing_number_by_subset_search(g, m)
-            slow = _subset_search_py(g, m)
-            assert (fast.forcing_number, fast.witness) == (
-                slow.forcing_number,
-                slow.witness,
-            )
+            result = forcing_number_by_subset_search(g, m)
+            assert (result.forcing_number, result.witness) == count_based_subset_search(
+                g, m
+            ), (g, m)
 
 
 def test_gp52_packing_is_one_everywhere(gp52):
