@@ -1,0 +1,109 @@
+"""Golden CLI outputs: exit code and stdout digest of every recorded call.
+
+`golden_cli.json` lists each call's argv, its exit code and the sha256 of
+what it printed to stdout. The calls cover every subcommand and format on
+GP(n,2) for n = 5..12 (single-matching commands on the first, middle and last
+matching), a few k != 2 graphs and verify-paper. A refactor must leave every
+entry unchanged; rewrite the file, with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+only for a change that means to alter an output, and say so with it.
+"""
+
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from gpforce.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+COMMANDS = (
+    "graph", "matchings", "force", "cycles", "packing", "poly", "orbits", "verify-paper",
+)
+ENGINES = ("cycles", "subsets", "both")
+GROUPS = ("rotation", "dihedral")
+
+
+def cases() -> list[list[str]]:
+    """The recorded argv list; used only to write the golden file."""
+    from gpforce.graphs import build_gp
+    from gpforce.matchings import enumerate_perfect_matchings, matching_text
+
+    out = []
+    for n in range(5, 13):
+        gp = ["--n", str(n)]
+        out += [["graph", *gp, "--format", f] for f in ("table", "json", "dot")]
+        out += [["matchings", *gp, "--format", f] for f in ("table", "json")]
+        g = build_gp(n, 2)
+        ms = enumerate_perfect_matchings(g)
+        for m in (ms[0], ms[len(ms) // 2], ms[-1]):
+            one = [*gp, "--matching", matching_text(g, m)]
+            for f in ("table", "json"):
+                out += [["force", *one, "--engine", e, "--format", f] for e in ENGINES]
+                out += [[cmd, *one, "--format", f] for cmd in ("cycles", "packing")]
+        for e in ENGINES:
+            for f in ("table", "json"):
+                for grp in GROUPS:
+                    argv = ["poly", *gp, "--engine", e, "--format", f, "--group", grp]
+                    out += [argv + ["--threads", "1"], argv + ["--orbits", "--threads", "1"]]
+            for f in ("table", "json", "csv"):
+                for grp in GROUPS:
+                    out.append(
+                        ["orbits", *gp, "--engine", e, "--format", f, "--group", grp,
+                         "--threads", "1"]
+                    )
+    for n, k in ((7, 3), (9, 4), (11, 3)):
+        gp = ["--n", str(n), "--k", str(k)]
+        out += [["graph", *gp], ["matchings", *gp]]
+        out += [["poly", *gp, "--orbits", "--format", f, "--threads", "1"]
+                for f in ("table", "json")]
+    out += [["verify-paper", "--format", f, "--threads", "1"] for f in ("table", "json")]
+    # domain errors: exit 2 with nothing on stdout
+    out += [
+        ["graph", "--n", "6", "--k", "3"],
+        ["force", "--n", "5", "--matching", "u0-u2"],
+        ["verify-paper", "--min", "5", "--max", "99"],
+    ]
+    return out
+
+
+def capture(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    code = main(list(argv), out=buf)
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def _recorded() -> list[dict]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_subcommand():
+    assert {case["argv"][0] for case in _recorded()} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_golden_outputs_unchanged(command):
+    mismatches = []
+    for case in _recorded():
+        if case["argv"][0] != command:
+            continue
+        code, digest = capture(case["argv"])
+        if (code, digest) != (case["exit"], case["sha256"]):
+            mismatches.append(
+                f"gpforce {' '.join(case['argv'])}: exit {code} (recorded {case['exit']})"
+                + ("" if digest == case["sha256"] else ", stdout differs")
+            )
+    assert not mismatches, "\n".join(mismatches)
+
+
+if __name__ == "__main__":
+    records = []
+    for argv in cases():
+        code, digest = capture(argv)
+        records.append({"argv": argv, "exit": code, "sha256": digest})
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    print(f"{len(records)} cases written to {GOLDEN}")
