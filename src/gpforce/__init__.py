@@ -33,13 +33,11 @@ from .polynomial import (
     ForcingPolynomial,
     Orbit,
     OrbitInconsistency,
+    OrbitTable,
     PolyStats,
-    forcing_polynomial,
-    forcing_report,
+    analyze,
     matching_orbits,
-    orbit_table,
     poly_stats,
-    rotation_orbits,
 )
 from .tables import (
     PUBLISHED_MATCHING_COUNTS,
@@ -61,11 +59,13 @@ __all__ = [
     "Graph",
     "Orbit",
     "OrbitInconsistency",
+    "OrbitTable",
     "PolyStats",
     "PUBLISHED_MATCHING_COUNTS",
     "PUBLISHED_ORBIT_ROWS",
     "PUBLISHED_POLYNOMIALS",
     "PUBLISHED_RANGE",
+    "analyze",
     "build_gp",
     "compute_forcing",
     "count_matchings_containing",
@@ -74,19 +74,15 @@ __all__ = [
     "forcing_number_by_hitting_set",
     "forcing_number_by_subset_search",
     "forcing_numbers_map",
-    "forcing_polynomial",
-    "forcing_report",
     "is_forcing",
     "is_perfect_matching",
     "matching_orbits",
     "matching_text",
     "max_disjoint_alternating_cycles",
-    "orbit_table",
     "parse_matching",
     "poly_stats",
     "rotate_edge_index",
     "rotation_edge_permutation",
-    "rotation_orbits",
     "validate",
     "verify_published_tables",
 ]

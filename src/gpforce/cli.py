@@ -6,18 +6,25 @@ count comes from --threads, then the FORCE_THREADS environment variable,
 then the cores this process may use. Outputs are assembled after a
 deterministic sort, so they are byte-identical for any worker count.
 
-Exit codes: 0 success, 1 verification mismatch, 2 domain error, 3 internal
-consistency failure (the engines or orbit bookkeeping disagreed), 4 any other
-unexpected failure (a crash, reported with its traceback on stderr).
+poly, orbits and verify-paper all run one pipeline, polynomial.analyze:
+enumerate the perfect matchings, map each to its forcing number, tally the
+forcing polynomial. The JSON report of a polynomial (n, k, coefficients,
+statistics, orbit rows) is rendered by polynomial.report_json alone.
+
+Exit codes: 0 success, 1 verification mismatch, 2 domain error or invalid
+arguments, 3 internal consistency failure (the engines or orbit bookkeeping
+disagreed), 4 any other unexpected failure (a crash, reported with its
+traceback on stderr), 141 stdout closed early by the reader (128 + SIGPIPE,
+as a shell reports it for a C tool in a pipeline such as `gpforce ... | head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
-from dataclasses import dataclass
 
 from .forcing import (
     EngineMismatch,
@@ -36,13 +43,13 @@ from .matchings import (
     uncovered_and_overcovered,
 )
 from .polynomial import (
-    ForcingPolynomial,
     OrbitInconsistency,
-    forcing_report,
+    OrbitTable,
+    analyze,
     matching_orbits,
-    orbit_table,
     poly_stats,
     polynomial_text,
+    report_json,
 )
 from .tables import PUBLISHED_RANGE, verify_published_tables
 
@@ -51,21 +58,24 @@ EXIT_MISMATCH = 1
 EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
 EXIT_UNEXPECTED = 4
+EXIT_PIPE = 141
 
 _ENGINES = {"cycles": "hitting_set", "subsets": "subset_search", "both": "both"}
 
 
-@dataclass
-class RunConfig:
-    n: int
-    k: int = 2
-    engine: str = "hitting_set"
-    fmt: str = "table"
-    group: str = "rotation"
-
-
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _worker_count(text: str) -> int:
+    """argparse type of --threads: a positive integer."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return jobs
 
 
 def _add_common(sub, engine=True, fmt=("table", "json"), group=False):
@@ -84,7 +94,7 @@ def _add_common(sub, engine=True, fmt=("table", "json"), group=False):
         sub.add_argument("--group", choices=("rotation", "dihedral"), default="rotation")
     sub.add_argument(
         "--threads",
-        type=int,
+        type=_worker_count,
         default=None,
         help="worker processes (default: FORCE_THREADS or all cores)",
     )
@@ -132,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=sorted(_ENGINES), default="cycles", help="forcing engine"
     )
     p.add_argument("--format", choices=("table", "json"), default="table", dest="fmt")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_worker_count, default=None)
 
     return parser
 
@@ -140,20 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _jobs(args) -> int:
     """Worker count for the subcommands that fan out: --threads, then
     FORCE_THREADS, then the usable cores."""
-    jobs = args.threads if args.threads is not None else default_jobs()
-    if jobs < 1:
-        raise DomainError("--threads must be >= 1")
-    return jobs
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        n=getattr(args, "n", 0),
-        k=getattr(args, "k", 2),
-        engine=_ENGINES[getattr(args, "engine", "cycles")],
-        fmt=args.fmt,
-        group=getattr(args, "group", "rotation"),
-    )
+    return args.threads if args.threads is not None else default_jobs()
 
 
 def _parse_perfect_matching(g, text: str) -> int:
@@ -172,11 +169,10 @@ def _parse_perfect_matching(g, text: str) -> int:
 
 
 def cmd_graph(args, out) -> int:
-    cfg = _config(args)
-    g = build_gp(cfg.n, cfg.k)
-    if cfg.fmt == "dot":
+    g = build_gp(args.n, args.k)
+    if args.fmt == "dot":
         out.write(g.to_dot())
-    elif cfg.fmt == "json":
+    elif args.fmt == "json":
         out.write(g.to_json())
     else:
         problems = validate(g)
@@ -186,15 +182,14 @@ def cmd_graph(args, out) -> int:
 
 
 def cmd_matchings(args, out) -> int:
-    cfg = _config(args)
-    g = build_gp(cfg.n, cfg.k)
+    g = build_gp(args.n, args.k)
     ms = enumerate_perfect_matchings(g)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.write(
             _dumps(
                 {
-                    "n": cfg.n,
-                    "k": cfg.k,
+                    "n": args.n,
+                    "k": args.k,
                     "count": len(ms),
                     "matchings": [edge_indices(m) for m in ms],
                 }
@@ -208,13 +203,12 @@ def cmd_matchings(args, out) -> int:
 
 
 def cmd_force(args, out) -> int:
-    cfg = _config(args)
-    g = build_gp(cfg.n, cfg.k)
+    g = build_gp(args.n, args.k)
     m = _parse_perfect_matching(g, args.matching)
-    result = compute_forcing(g, m, cfg.engine)
+    result = compute_forcing(g, m, _ENGINES[args.engine])
     packing = max_disjoint_alternating_cycles(g, m)
     n_cycles = len(enumerate_alternating_cycles(g, m))
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.write(
             _dumps(
                 {
@@ -242,11 +236,10 @@ def _cycle_path_text(g, cycle) -> str:
 
 
 def cmd_cycles(args, out) -> int:
-    cfg = _config(args)
-    g = build_gp(cfg.n, cfg.k)
+    g = build_gp(args.n, args.k)
     m = _parse_perfect_matching(g, args.matching)
     cycles = enumerate_alternating_cycles(g, m)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.write(
             _dumps(
                 {
@@ -273,11 +266,10 @@ def cmd_cycles(args, out) -> int:
 
 
 def cmd_packing(args, out) -> int:
-    cfg = _config(args)
-    g = build_gp(cfg.n, cfg.k)
+    g = build_gp(args.n, args.k)
     m = _parse_perfect_matching(g, args.matching)
     packing = max_disjoint_alternating_cycles(g, m)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         out.write(
             _dumps(
                 {
@@ -297,37 +289,18 @@ def cmd_packing(args, out) -> int:
 
 
 def cmd_poly(args, out) -> int:
-    cfg = _config(args)
-    g = build_gp(cfg.n, cfg.k)
-    matchings, results = forcing_report(g, engine=cfg.engine, jobs=_jobs(args))
-    coeffs: dict[int, int] = {}
-    for r in results:
-        coeffs[r.forcing_number] = coeffs.get(r.forcing_number, 0) + 1
-    stats = poly_stats(ForcingPolynomial(coeffs))
+    g = build_gp(args.n, args.k)
+    engine = _ENGINES[args.engine]
+    matchings, results, poly = analyze(g, engine, _jobs(args))
     orbits = (
-        matching_orbits(g, matchings, results, group=cfg.group) if args.orbits else None
+        matching_orbits(g, matchings, results, group=args.group) if args.orbits else None
     )
-    if cfg.fmt == "json":
-        payload = {
-            "n": cfg.n,
-            "k": cfg.k,
-            "engine": cfg.engine,
-            "polynomial": {str(e): c for e, c in sorted(coeffs.items())},
-            "stats": stats.as_json_dict(),
-        }
-        if orbits is not None:
-            payload["orbits"] = [
-                {
-                    "representative_edges": edge_indices(o.representative),
-                    "pmc": o.size,
-                    "fn": o.forcing_number,
-                }
-                for o in orbits
-            ]
-        out.write(_dumps(payload))
+    if args.fmt == "json":
+        out.write(_dumps({**report_json(g, poly, orbits), "engine": engine}))
     else:
+        stats = poly_stats(poly)
         avg = stats.average_forcing
-        out.write(f"GP({cfg.n},{cfg.k}) forcing polynomial: {polynomial_text(coeffs)}\n")
+        out.write(f"GP({args.n},{args.k}) forcing polynomial: {poly}\n")
         out.write(f"perfect matchings: {stats.pm_count}\n")
         out.write(
             f"average forcing number: {avg.numerator}/{avg.denominator}"
@@ -336,18 +309,17 @@ def cmd_poly(args, out) -> int:
         out.write(f"spectrum: {{{', '.join(map(str, stats.spectrum))}}}\n")
         out.write(f"min/max forcing number: {stats.min_forcing}/{stats.max_forcing}\n")
         if orbits is not None:
-            out.write(orbit_table(g, orbits).to_text())
+            out.write(OrbitTable(g, tuple(orbits)).to_text())
     return EXIT_OK
 
 
 def cmd_orbits(args, out) -> int:
-    cfg = _config(args)
-    g = build_gp(cfg.n, cfg.k)
-    matchings, results = forcing_report(g, engine=cfg.engine, jobs=_jobs(args))
-    table = orbit_table(g, matching_orbits(g, matchings, results, group=cfg.group))
-    if cfg.fmt == "json":
+    g = build_gp(args.n, args.k)
+    matchings, results, _ = analyze(g, _ENGINES[args.engine], _jobs(args))
+    table = OrbitTable(g, tuple(matching_orbits(g, matchings, results, group=args.group)))
+    if args.fmt == "json":
         out.write(_dumps(table.to_json_dict()))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         out.write(table.to_csv())
     else:
         out.write(table.to_text())
@@ -356,6 +328,8 @@ def cmd_orbits(args, out) -> int:
 
 def cmd_verify_paper(args, out) -> int:
     jobs = _jobs(args)
+    if args.n_min > args.n_max:
+        raise DomainError(f"--min {args.n_min} exceeds --max {args.n_max}")
     if not PUBLISHED_RANGE.start <= args.n_min <= args.n_max <= PUBLISHED_RANGE.stop - 1:
         raise DomainError(
             f"published tables cover n = {PUBLISHED_RANGE.start}.."
@@ -406,7 +380,15 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, out)
+        code = _HANDLERS[args.command](args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; send the interpreter's final flush of stdout
+        # to /dev/null so it cannot fail a second time
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -39,8 +39,9 @@ class ForcingPolynomial:
     def __str__(self) -> str:
         return polynomial_text(self.coeffs)
 
-    def evaluate(self, x) -> int:
-        return sum(c * x**e for e, c in self.coeffs.items())
+    def to_json_dict(self) -> dict[str, int]:
+        """Coefficients keyed by the exponent's decimal string."""
+        return {str(e): c for e, c in sorted(self.coeffs.items())}
 
 
 def polynomial_text(coeffs: dict[int, int]) -> str:
@@ -94,23 +95,42 @@ def poly_stats(p: ForcingPolynomial) -> PolyStats:
     )
 
 
-def forcing_report(
+def analyze(
     g: Graph, engine: str = "hitting_set", jobs: int | None = None
-) -> tuple[list[int], list[ForcingResult]]:
-    """Enumerate all matchings and compute each forcing number."""
+) -> tuple[list[int], list[ForcingResult], ForcingPolynomial]:
+    """Enumerate g's perfect matchings, compute each forcing number with the
+    chosen engine ("both" cross-checks) and tally them into the polynomial.
+
+    Returns the sorted matchings, their aligned results and the polynomial.
+    """
     matchings = enumerate_perfect_matchings(g)
-    return matchings, forcing_numbers_map(g, matchings, engine=engine, jobs=jobs)
-
-
-def forcing_polynomial(
-    g: Graph, engine: str = "hitting_set", jobs: int | None = None
-) -> ForcingPolynomial:
-    """Forcing polynomial of g with the chosen engine ("both" cross-checks)."""
-    _, results = forcing_report(g, engine=engine, jobs=jobs)
+    results = forcing_numbers_map(g, matchings, engine=engine, jobs=jobs)
     coeffs: dict[int, int] = {}
     for r in results:
         coeffs[r.forcing_number] = coeffs.get(r.forcing_number, 0) + 1
-    return ForcingPolynomial(coeffs)
+    return matchings, results, ForcingPolynomial(coeffs)
+
+
+def report_json(g: Graph, poly: ForcingPolynomial, orbits=None) -> dict:
+    """The JSON report of a polynomial: n, k, coefficients and statistics,
+    plus one row per orbit when `orbits` is given."""
+    n, k = g.gp_params if g.gp_params else (None, None)
+    report = {
+        "n": n,
+        "k": k,
+        "polynomial": poly.to_json_dict(),
+        "stats": poly_stats(poly).as_json_dict(),
+    }
+    if orbits is not None:
+        report["orbits"] = [
+            {
+                "representative_edges": edge_indices(o.representative),
+                "pmc": o.size,
+                "fn": o.forcing_number,
+            }
+            for o in orbits
+        ]
+    return report
 
 
 @dataclass(frozen=True)
@@ -176,11 +196,6 @@ def matching_orbits(
     return orbits
 
 
-def rotation_orbits(g: Graph, matchings: list[int], results) -> list[Orbit]:
-    """Orbits under the cyclic rotation group only."""
-    return matching_orbits(g, matchings, results, group="rotation")
-
-
 def orbit_polynomial(orbits: list[Orbit]) -> ForcingPolynomial:
     """Reassemble the forcing polynomial from orbit sizes."""
     coeffs: dict[int, int] = {}
@@ -214,29 +229,10 @@ class OrbitTable:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        n, k = self.g.gp_params if self.g.gp_params else (None, None)
-        poly = self.polynomial
-        return {
-            "n": n,
-            "k": k,
-            "polynomial": {str(e): c for e, c in sorted(poly.coeffs.items())},
-            "stats": poly_stats(poly).as_json_dict(),
-            "orbits": [
-                {
-                    "representative_edges": edge_indices(o.representative),
-                    "pmc": o.size,
-                    "fn": o.forcing_number,
-                }
-                for o in self.orbits
-            ],
-        }
+        return report_json(self.g, self.polynomial, self.orbits)
 
     def to_csv(self) -> str:
         lines = ["no,pmc,fn,representative"]
         for no, pmc, fn, rep in self.rows():
             lines.append(f"{no},{pmc},{fn},{rep}")
         return "\n".join(lines) + "\n"
-
-
-def orbit_table(g: Graph, orbits: list[Orbit]) -> OrbitTable:
-    return OrbitTable(g, tuple(orbits))

@@ -12,12 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .graphs import build_gp
-from .polynomial import (
-    ForcingPolynomial,
-    forcing_report,
-    matching_orbits,
-    polynomial_text,
-)
+from .polynomial import ForcingPolynomial, analyze, matching_orbits, polynomial_text
 
 PUBLISHED_RANGE = range(5, 16)
 
@@ -108,8 +103,8 @@ class TableCheck:
         d = {
             "n": self.n,
             "pass": self.ok,
-            "polynomial_expected": {str(e): c for e, c in sorted(self.expected_poly.items())},
-            "polynomial_computed": {str(e): c for e, c in sorted(self.computed_poly.items())},
+            "polynomial_expected": ForcingPolynomial(self.expected_poly).to_json_dict(),
+            "polynomial_computed": ForcingPolynomial(self.computed_poly).to_json_dict(),
             "rows_expected": sorted(list(r) for r in self.expected_rows),
             "rows_computed": sorted(list(r) for r in self.computed_rows),
         }
@@ -136,16 +131,13 @@ def check_table(
     if expected_rows is None:
         expected_rows = PUBLISHED_ORBIT_ROWS[n]
     g = build_gp(n, 2)
-    matchings, results = forcing_report(g, engine=engine, jobs=jobs)
-    coeffs: dict[int, int] = {}
-    for r in results:
-        coeffs[r.forcing_number] = coeffs.get(r.forcing_number, 0) + 1
+    matchings, results, poly = analyze(g, engine, jobs)
     orbits = matching_orbits(g, matchings, results, group="rotation")
     rows = tuple((o.size, o.forcing_number) for o in orbits)
     check = TableCheck(
         n=n,
         expected_poly=dict(expected_poly),
-        computed_poly=coeffs,
+        computed_poly=poly.coeffs,
         expected_rows=tuple(expected_rows),
         computed_rows=rows,
     )
@@ -170,7 +162,3 @@ def verify_published_tables(
         else:
             checks.append(check_table(n, engine, jobs))
     return checks
-
-
-def published_polynomial(n: int) -> ForcingPolynomial:
-    return ForcingPolynomial(dict(PUBLISHED_POLYNOMIALS[n]))

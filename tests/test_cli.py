@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from gpforce.cli import (
     EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_UNEXPECTED,
     main,
 )
@@ -141,6 +143,52 @@ def test_verify_paper_subrange():
 def test_verify_paper_rejects_out_of_range(capsys):
     code, _ = run_cli("verify-paper", "--min", "5", "--max", "99")
     assert code == EXIT_DOMAIN
+
+
+def test_verify_paper_rejects_reversed_range(capsys):
+    code, _ = run_cli("verify-paper", "--min", "7", "--max", "6")
+    assert code == EXIT_DOMAIN
+    assert "--min 7 exceeds --max 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "--n", "5"),
+        ("matchings", "--n", "5"),
+        ("force", "--n", "5", "--matching", M1),
+        ("cycles", "--n", "5", "--matching", M1),
+        ("packing", "--n", "5", "--matching", M1),
+        ("poly", "--n", "5"),
+        ("orbits", "--n", "5"),
+        ("verify-paper", "--min", "5", "--max", "5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_threads_must_be_positive(argv, capsys):
+    for bad in ("0", "-1", "two"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--threads", bad)
+        assert exc.value.code == EXIT_DOMAIN
+        assert "--threads: must be a positive integer" in capsys.readouterr().err
+    assert run_cli(*argv, "--threads", "1")[0] == EXIT_OK
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpforce", "matchings", "--n", "14"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE == 141
+    assert proc.stderr == ""
 
 
 def test_json_reports_roundtrip_byte_identical():

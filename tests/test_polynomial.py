@@ -10,29 +10,27 @@ from gpforce.matchings import enumerate_perfect_matchings, permute_edge_set
 from gpforce.polynomial import (
     ForcingPolynomial,
     OrbitInconsistency,
-    forcing_polynomial,
-    forcing_report,
+    OrbitTable,
+    analyze,
     matching_orbits,
     orbit_polynomial,
-    orbit_table,
     poly_stats,
     polynomial_text,
-    rotation_orbits,
 )
 from gpforce.graphs import symmetry_edge_permutations
 
 
 def test_polynomial_gp5(gp52):
-    assert forcing_polynomial(gp52).coeffs == {2: 6}
+    assert analyze(gp52)[2].coeffs == {2: 6}
 
 
 def test_polynomial_gp9_both_engines():
-    p = forcing_polynomial(build_gp(9, 2), engine="both")
+    _, _, p = analyze(build_gp(9, 2), engine="both")
     assert p.coeffs == {3: 1, 2: 21}
 
 
 def test_polynomial_gp14():
-    p = forcing_polynomial(build_gp(14, 2))
+    _, _, p = analyze(build_gp(14, 2))
     assert p.coeffs == {4: 57, 3: 56}
 
 
@@ -73,7 +71,7 @@ def test_poly_stats_single_term():
 
 
 def test_poly_stats_trivial_graph(k2):
-    stats = poly_stats(forcing_polynomial(k2))
+    stats = poly_stats(analyze(k2)[2])
     assert stats.pm_count == 1
     assert stats.average_forcing == 0
 
@@ -94,12 +92,12 @@ def test_engine_mismatch_aborts(gp52, monkeypatch):
 
     monkeypatch.setattr(forcing_mod, "forcing_number_by_subset_search", skewed)
     with pytest.raises(EngineMismatch):
-        forcing_polynomial(gp52, engine="both")
+        analyze(gp52, engine="both")
 
 
 def test_gp5_orbits(gp52):
-    matchings, results = forcing_report(gp52)
-    orbits = rotation_orbits(gp52, matchings, results)
+    matchings, results, _ = analyze(gp52)
+    orbits = matching_orbits(gp52, matchings, results, group="rotation")
     assert sorted(o.size for o in orbits) == [1, 5]
     assert all(o.forcing_number == 2 for o in orbits)
     # the singleton orbit is the all-spokes matching
@@ -109,16 +107,16 @@ def test_gp5_orbits(gp52):
 
 def test_gp9_orbits():
     g = build_gp(9, 2)
-    matchings, results = forcing_report(g)
-    orbits = rotation_orbits(g, matchings, results)
+    matchings, results, _ = analyze(g)
+    orbits = matching_orbits(g, matchings, results, group="rotation")
     assert sorted(o.size for o in orbits) == [1, 3, 9, 9]
     assert next(o for o in orbits if o.size == 1).forcing_number == 3
 
 
 def test_gp12_orbit_multiset():
     g = build_gp(12, 2)
-    matchings, results = forcing_report(g)
-    orbits = rotation_orbits(g, matchings, results)
+    matchings, results, _ = analyze(g)
+    orbits = matching_orbits(g, matchings, results, group="rotation")
     rows = sorted((o.size, o.forcing_number) for o in orbits)
     assert rows == sorted(
         [(4, 3), (12, 3), (12, 3), (6, 3), (12, 3), (1, 3), (4, 3), (3, 2)]
@@ -128,8 +126,8 @@ def test_gp12_orbit_multiset():
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
 def test_orbit_invariants(n):
     g = build_gp(n, 2)
-    matchings, results = forcing_report(g)
-    orbits = rotation_orbits(g, matchings, results)
+    matchings, results, poly = analyze(g)
+    orbits = matching_orbits(g, matchings, results, group="rotation")
     perms = symmetry_edge_permutations(g, "rotation")
     # orbit sizes divide n, members partition the matchings, orbits are closed
     assert sum(o.size for o in orbits) == len(matchings)
@@ -144,35 +142,35 @@ def test_orbit_invariants(n):
                 assert permute_edge_set(member, p) in o.members
     assert seen == set(matchings)
     # per-exponent orbit sizes reassemble the polynomial
-    assert orbit_polynomial(orbits).coeffs == forcing_polynomial(g).coeffs
+    assert orbit_polynomial(orbits).coeffs == poly.coeffs
 
 
 def test_orbits_require_gp_graph(k2):
     with pytest.raises(DomainError):
-        rotation_orbits(k2, [1], [0])
+        matching_orbits(k2, [1], [0], group="rotation")
 
 
 def test_orbit_inconsistency_detected(gp52):
-    matchings, results = forcing_report(gp52)
+    matchings, results, _ = analyze(gp52)
     fns = [r.forcing_number for r in results]
     fns[2] += 1  # corrupt one member of the big orbit
     with pytest.raises(OrbitInconsistency):
-        rotation_orbits(gp52, matchings, fns)
+        matching_orbits(gp52, matchings, fns, group="rotation")
     with pytest.raises(OrbitInconsistency):
         # drop a matching: its rotations now land outside the known set
-        rotation_orbits(gp52, matchings[:-1], fns[:-1])
+        matching_orbits(gp52, matchings[:-1], fns[:-1], group="rotation")
 
 
 def test_dihedral_orbits_partition(gp52):
-    matchings, results = forcing_report(gp52)
+    matchings, results, _ = analyze(gp52)
     orbits = matching_orbits(gp52, matchings, results, group="dihedral")
     assert sum(o.size for o in orbits) == 6
     assert all(10 % o.size == 0 for o in orbits)
 
 
 def test_orbit_table_gp5(gp52):
-    matchings, results = forcing_report(gp52)
-    table = orbit_table(gp52, rotation_orbits(gp52, matchings, results))
+    matchings, results, _ = analyze(gp52)
+    table = OrbitTable(gp52, tuple(matching_orbits(gp52, matchings, results)))
     text = table.to_text()
     rows = table.rows()
     assert len(rows) == 2
@@ -183,8 +181,8 @@ def test_orbit_table_gp5(gp52):
 
 def test_orbit_table_gp13():
     g = build_gp(13, 2)
-    matchings, results = forcing_report(g)
-    table = orbit_table(g, rotation_orbits(g, matchings, results))
+    matchings, results, _ = analyze(g)
+    table = OrbitTable(g, tuple(matching_orbits(g, matchings, results)))
     rows = table.rows()
     assert len(rows) == 7
     assert sum(1 for _, pmc, fn, _ in rows if (pmc, fn) == (1, 4)) == 1
@@ -192,8 +190,8 @@ def test_orbit_table_gp13():
 
 
 def test_orbit_table_csv_and_json(gp52):
-    matchings, results = forcing_report(gp52)
-    table = orbit_table(gp52, rotation_orbits(gp52, matchings, results))
+    matchings, results, _ = analyze(gp52)
+    table = OrbitTable(gp52, tuple(matching_orbits(gp52, matchings, results)))
     csv = table.to_csv().splitlines()
     assert csv[0] == "no,pmc,fn,representative"
     assert len(csv) == 3
