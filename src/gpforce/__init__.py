@@ -3,7 +3,6 @@ generalized Petersen graphs GP(n,k)."""
 
 from .forcing import (
     AltCycle,
-    CyclePacking,
     EngineMismatch,
     ForcingResult,
     compute_forcing,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AltCycle",
-    "CyclePacking",
     "DomainError",
     "EngineMismatch",
     "ForcingPolynomial",

@@ -205,9 +205,9 @@ def cmd_matchings(args, out) -> int:
 def cmd_force(args, out) -> int:
     g = build_gp(args.n, args.k)
     m = _parse_perfect_matching(g, args.matching)
-    result = compute_forcing(g, m, _ENGINES[args.engine])
-    packing = max_disjoint_alternating_cycles(g, m)
-    n_cycles = len(enumerate_alternating_cycles(g, m))
+    cycles = enumerate_alternating_cycles(g, m)
+    result = compute_forcing(g, m, _ENGINES[args.engine], cycles)
+    packing = max_disjoint_alternating_cycles(cycles)
     if args.fmt == "json":
         out.write(
             _dumps(
@@ -215,8 +215,8 @@ def cmd_force(args, out) -> int:
                     "matching": edge_indices(m),
                     "forcing_number": result.forcing_number,
                     "witness": edge_indices(result.witness),
-                    "packing_size": packing.size,
-                    "n_alt_cycles": n_cycles,
+                    "packing_size": len(packing),
+                    "n_alt_cycles": len(cycles),
                     "engine": result.method,
                 }
             )
@@ -225,8 +225,8 @@ def cmd_force(args, out) -> int:
         out.write(f"matching: {matching_text(g, m)}\n")
         out.write(f"forcing number: {result.forcing_number}\n")
         out.write(f"witness: {matching_text(g, result.witness) or '(empty)'}\n")
-        out.write(f"max disjoint alternating cycles: {packing.size}\n")
-        out.write(f"alternating cycles: {n_cycles}\n")
+        out.write(f"max disjoint alternating cycles: {len(packing)}\n")
+        out.write(f"alternating cycles: {len(cycles)}\n")
         out.write(f"engine: {result.method}\n")
     return EXIT_OK
 
@@ -268,22 +268,20 @@ def cmd_cycles(args, out) -> int:
 def cmd_packing(args, out) -> int:
     g = build_gp(args.n, args.k)
     m = _parse_perfect_matching(g, args.matching)
-    packing = max_disjoint_alternating_cycles(g, m)
+    packing = max_disjoint_alternating_cycles(enumerate_alternating_cycles(g, m))
     if args.fmt == "json":
         out.write(
             _dumps(
                 {
                     "matching": edge_indices(m),
-                    "size": packing.size,
-                    "cycles": [
-                        [g.vertex_name(v) for v in c.vertices] for c in packing.cycles
-                    ],
+                    "size": len(packing),
+                    "cycles": [[g.vertex_name(v) for v in c.vertices] for c in packing],
                 }
             )
         )
     else:
-        out.write(f"maximum disjoint alternating cycles: {packing.size}\n")
-        for c in packing.cycles:
+        out.write(f"maximum disjoint alternating cycles: {len(packing)}\n")
+        for c in packing:
             out.write(f"  {_cycle_path_text(g, c)}\n")
     return EXIT_OK
 
@@ -299,12 +297,12 @@ def cmd_poly(args, out) -> int:
         out.write(_dumps({**report_json(g, poly, orbits), "engine": engine}))
     else:
         stats = poly_stats(poly)
-        avg = stats.average_forcing
+        rendered = stats.as_json_dict()
         out.write(f"GP({args.n},{args.k}) forcing polynomial: {poly}\n")
         out.write(f"perfect matchings: {stats.pm_count}\n")
         out.write(
-            f"average forcing number: {avg.numerator}/{avg.denominator}"
-            f" ({avg.numerator / avg.denominator:.6f})\n"
+            f"average forcing number: {rendered['average_forcing']}"
+            f" ({rendered['average_forcing_decimal']})\n"
         )
         out.write(f"spectrum: {{{', '.join(map(str, stats.spectrum))}}}\n")
         out.write(f"min/max forcing number: {stats.min_forcing}/{stats.max_forcing}\n")

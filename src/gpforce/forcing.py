@@ -13,6 +13,10 @@ engines here must always agree:
 
 Their agreement on every input is itself a theorem, which makes running both
 a built-in correctness oracle.
+
+The transversal and the maximum disjoint packing, whose size C(G, M) bounds
+f(G, M) below, both read the list enumerate_alternating_cycles returns, so a
+caller that needs both enumerates once and passes the list on.
 """
 
 from __future__ import annotations
@@ -40,19 +44,17 @@ class EngineMismatch(RuntimeError):
 class AltCycle:
     """An M-alternating cycle: vertex sequence plus derived bitmasks.
 
-    `edges` holds the complete cycle edge set, matched and unmatched alike;
-    it is the identity of the cycle. Two different cycles can share both
-    matched_edges and vertex_set (two Hamiltonian alternating cycles of
-    GP(6,2) do), so neither is enough to tell cycles apart on its own.
+    `edges` holds the complete cycle edge set, matched and unmatched alike,
+    and is the last key of the canonical cycle order. Two different cycles
+    can share both matched_edges and vertex_set (two Hamiltonian alternating
+    cycles of GP(6,2) do), so neither is enough to tell cycles apart on its
+    own.
     """
 
     vertices: tuple[int, ...]
     edges: int
     matched_edges: int
     vertex_set: int
-
-    def __len__(self):
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -62,15 +64,6 @@ class ForcingResult:
     method: str  # "subset_search" | "hitting_set" | "both"
 
 
-@dataclass(frozen=True)
-class CyclePacking:
-    cycles: tuple[AltCycle, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.cycles)
-
-
 def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
     """Every M-alternating cycle of (g, m), each exactly once.
 
@@ -78,7 +71,7 @@ def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
     a < b: the path starts a, b and only visits matched edges with index
     greater than e, so e is the lexicographically smallest matched edge of
     any cycle it closes and the fixed a -> b orientation rules out the
-    reversed traversal. Cycles are keyed by their full edge set. Sorted by
+    reversed traversal, so every cycle is closed exactly once. Sorted by
     ascending length, then lexicographic vertex set, then edge set.
     """
     if not is_perfect_matching(g, m):
@@ -90,7 +83,7 @@ def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
         partner[a], partner[b] = b, a
         matched_edge_at[a] = matched_edge_at[b] = eid
     incident = g.incident
-    found: dict[int, AltCycle] = {}
+    cycles: list[AltCycle] = []
 
     for e0 in iter_bits(m):
         a, b = g.edges[e0]
@@ -100,9 +93,8 @@ def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
                 if m >> eid & 1:  # this step must leave the matching
                     continue
                 if w == a:
-                    key = emask | (1 << eid)
-                    if key not in found:
-                        found[key] = AltCycle(tuple(path), key, mmask, vmask)
+                    edges = emask | (1 << eid)
+                    cycles.append(AltCycle(tuple(path), edges, mmask, vmask))
                     continue
                 if vmask >> w & 1:
                     continue
@@ -122,10 +114,7 @@ def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
 
         walk(b, (1 << a) | (1 << b), [a, b], 1 << e0, 1 << e0)
 
-    cycles = list(found.values())
-    cycles.sort(
-        key=lambda c: (len(c.vertices), tuple(iter_bits(c.vertex_set)), c.edges)
-    )
+    cycles.sort(key=lambda c: (len(c.vertices), tuple(sorted(c.vertices)), c.edges))
     return cycles
 
 
@@ -156,15 +145,20 @@ def _greedy_disjoint_count(masks) -> int:
     return count
 
 
-def forcing_number_by_hitting_set(g: Graph, m: int) -> ForcingResult:
+def forcing_number_by_hitting_set(
+    g: Graph, m: int, cycles: list[AltCycle] | None = None
+) -> ForcingResult:
     """f(g, m) as a minimum hitting set over alternating-cycle matched edges.
 
-    Exact branch and bound: branch on the first uncovered cycle's matched
-    edges in ascending index order; lower bound is the greedy count of
-    pairwise disjoint uncovered cycles. The first optimum found under this
+    `cycles` is enumerate_alternating_cycles(g, m), enumerated here when not
+    given. Exact branch and bound: branch on the first uncovered cycle's
+    matched edges in ascending index order; lower bound is the greedy count
+    of pairwise disjoint uncovered cycles. The first optimum found under this
     deterministic order is the witness.
     """
-    cycle_masks = [c.matched_edges for c in enumerate_alternating_cycles(g, m)]
+    if cycles is None:
+        cycles = enumerate_alternating_cycles(g, m)
+    cycle_masks = [c.matched_edges for c in cycles]
     if not cycle_masks:
         return ForcingResult(0, 0, "hitting_set")
     best_size = m.bit_count()
@@ -225,42 +219,45 @@ def forcing_number_by_subset_search(g: Graph, m: int) -> ForcingResult:
     raise AssertionError("unreachable: a matching always forces itself")
 
 
-def max_disjoint_alternating_cycles(g: Graph, m: int) -> CyclePacking:
-    """A maximum family of pairwise vertex-disjoint m-alternating cycles.
+def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, ...]:
+    """A maximum family of pairwise vertex-disjoint cycles from `cycles`,
+    the list enumerate_alternating_cycles(g, m) returns; its length is
+    C(g, m).
 
-    Exhaustive branch and bound over the canonically ordered cycle list;
-    prunes a branch when even taking every remaining compatible cycle cannot
-    beat the incumbent.
+    Exhaustive branch and bound over the canonically ordered cycle list:
+    each node keeps the later cycles disjoint from everything chosen, and a
+    branch is pruned when even taking all of them cannot beat the incumbent.
     """
-    cycles = enumerate_alternating_cycles(g, m)
-    best: list[AltCycle] = []
+    best: tuple[AltCycle, ...] = ()
 
-    def grow(start: int, used: int, chosen: list[AltCycle]):
+    def grow(candidates: list[AltCycle], chosen: tuple[AltCycle, ...]):
         nonlocal best
         if len(chosen) > len(best):
-            best = list(chosen)
-        candidates = [
-            i for i in range(start, len(cycles)) if not cycles[i].vertex_set & used
-        ]
+            best = chosen
         if len(chosen) + len(candidates) <= len(best):
             return
-        for i in candidates:
-            chosen.append(cycles[i])
-            grow(i + 1, used | cycles[i].vertex_set, chosen)
-            chosen.pop()
+        for j, c in enumerate(candidates):
+            rest = [d for d in candidates[j + 1 :] if not d.vertex_set & c.vertex_set]
+            grow(rest, chosen + (c,))
 
-    grow(0, 0, [])
-    return CyclePacking(tuple(best))
+    grow(cycles, ())
+    return best
 
 
-def compute_forcing(g: Graph, m: int, engine: str = "hitting_set") -> ForcingResult:
-    """Dispatch to one engine, or run both and insist they agree."""
+def compute_forcing(
+    g: Graph, m: int, engine: str = "hitting_set", cycles: list[AltCycle] | None = None
+) -> ForcingResult:
+    """Dispatch to one engine, or run both and insist they agree.
+
+    `cycles`, the already enumerated alternating cycles of (g, m), goes to
+    the hitting set; the subset search does not read it.
+    """
     if engine == "hitting_set":
-        return forcing_number_by_hitting_set(g, m)
+        return forcing_number_by_hitting_set(g, m, cycles)
     if engine == "subset_search":
         return forcing_number_by_subset_search(g, m)
     if engine == "both":
-        hit = forcing_number_by_hitting_set(g, m)
+        hit = forcing_number_by_hitting_set(g, m, cycles)
         sub = forcing_number_by_subset_search(g, m)
         if hit.forcing_number != sub.forcing_number:
             raise EngineMismatch(

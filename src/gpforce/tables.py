@@ -9,7 +9,7 @@ their order is presentation only, so comparisons treat them as multisets.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import build_gp
 from .polynomial import ForcingPolynomial, analyze, matching_orbits, polynomial_text
@@ -65,7 +65,6 @@ class TableCheck:
     expected_rows: tuple[tuple[int, int], ...]
     computed_rows: tuple[tuple[int, int], ...]
     dihedral_rows: tuple[tuple[int, int], ...] | None = None
-    notes: list[str] = field(default_factory=list)
 
     @property
     def poly_ok(self) -> bool:
@@ -96,7 +95,6 @@ class TableCheck:
                     "dihedral-group rows for comparison: "
                     f"{sorted(self.dihedral_rows)}"
                 )
-        lines.extend(self.notes)
         return lines
 
     def to_json_dict(self) -> dict:
@@ -114,11 +112,7 @@ class TableCheck:
 
 
 def check_table(
-    n: int,
-    engine: str = "hitting_set",
-    jobs: int | None = None,
-    expected_poly: dict[int, int] | None = None,
-    expected_rows: tuple[tuple[int, int], ...] | None = None,
+    n: int, engine: str = "hitting_set", jobs: int | None = None
 ) -> TableCheck:
     """Recompute GP(n,2) and diff it against one published table.
 
@@ -126,19 +120,15 @@ def check_table(
     dihedral-group rows are attached to the report so a symmetry-convention
     mismatch is visible instead of silently chosen.
     """
-    if expected_poly is None:
-        expected_poly = PUBLISHED_POLYNOMIALS[n]
-    if expected_rows is None:
-        expected_rows = PUBLISHED_ORBIT_ROWS[n]
     g = build_gp(n, 2)
     matchings, results, poly = analyze(g, engine, jobs)
     orbits = matching_orbits(g, matchings, results, group="rotation")
     rows = tuple((o.size, o.forcing_number) for o in orbits)
     check = TableCheck(
         n=n,
-        expected_poly=dict(expected_poly),
+        expected_poly=dict(PUBLISHED_POLYNOMIALS[n]),
         computed_poly=poly.coeffs,
-        expected_rows=tuple(expected_rows),
+        expected_rows=PUBLISHED_ORBIT_ROWS[n],
         computed_rows=rows,
     )
     if not check.rows_ok:
@@ -148,17 +138,9 @@ def check_table(
 
 
 def verify_published_tables(
-    ns=None, engine: str = "hitting_set", jobs: int | None = None, expected=None
+    ns=None, engine: str = "hitting_set", jobs: int | None = None
 ) -> list[TableCheck]:
-    """Re-derive every requested table; `expected` overrides the constants
-    (used by the harness self-test with deliberately tampered data)."""
+    """Re-derive every requested table, by default all published ones."""
     if ns is None:
         ns = PUBLISHED_RANGE
-    checks = []
-    for n in ns:
-        if expected is not None and n in expected:
-            poly, rows = expected[n]
-            checks.append(check_table(n, engine, jobs, poly, rows))
-        else:
-            checks.append(check_table(n, engine, jobs))
-    return checks
+    return [check_table(n, engine, jobs) for n in ns]

@@ -91,6 +91,27 @@ def test_force_published_m6_witness():
     assert "witness: u0-v0,u1-v1" in text
 
 
+@pytest.mark.parametrize("engine", ["cycles", "subsets", "both"])
+def test_force_enumerates_cycles_once(monkeypatch, engine):
+    # the transversal, the packing and the count all read one cycle list
+    import gpforce.cli as cli_mod
+    import gpforce.forcing as forcing_mod
+
+    real = forcing_mod.enumerate_alternating_cycles
+    calls = []
+
+    def counted(g, m):
+        calls.append(m)
+        return real(g, m)
+
+    monkeypatch.setattr(forcing_mod, "enumerate_alternating_cycles", counted)
+    monkeypatch.setattr(cli_mod, "enumerate_alternating_cycles", counted)
+    code, text = run_cli("force", "--n", "5", "--matching", M1, "--engine", engine)
+    assert code == EXIT_OK
+    assert "forcing number: 2" in text and "alternating cycles: 5" in text
+    assert len(calls) == 1
+
+
 def test_force_rejects_partial_matching(capsys):
     code, _ = run_cli("force", "--n", "5", "--matching", "u0-u2")
     assert code == EXIT_DOMAIN

@@ -199,27 +199,61 @@ def test_subset_search_matches_count_based_search():
             ), (g, m)
 
 
+def rescanning_packing(cycles):
+    # reference packing: the same branch and bound, but every node rescans the
+    # whole cycle list from its start index against the chosen vertex union
+    best = []
+
+    def grow(start, used, chosen):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        candidates = [
+            i for i in range(start, len(cycles)) if not cycles[i].vertex_set & used
+        ]
+        if len(chosen) + len(candidates) <= len(best):
+            return
+        for i in candidates:
+            chosen.append(cycles[i])
+            grow(i + 1, used | cycles[i].vertex_set, chosen)
+            chosen.pop()
+
+    grow(0, 0, [])
+    return tuple(best)
+
+
+def test_packing_matches_rescanning_packing():
+    graphs = [build_gp(n, 2) for n in range(5, 15)]
+    graphs += [build_gp(7, 3), build_gp(9, 4), build_gp(11, 3)]
+    for g in graphs:
+        for m in enumerate_perfect_matchings(g):
+            cycles = enumerate_alternating_cycles(g, m)
+            packing = max_disjoint_alternating_cycles(cycles)
+            assert packing == rescanning_packing(cycles), (g, m)
+
+
 def test_gp52_packing_is_one_everywhere(gp52):
     for m in enumerate_perfect_matchings(gp52):
-        packing = max_disjoint_alternating_cycles(gp52, m)
-        assert packing.size == 1
+        packing = max_disjoint_alternating_cycles(enumerate_alternating_cycles(gp52, m))
+        assert len(packing) == 1
         # and the packing really is disjoint
         used = 0
-        for c in packing.cycles:
+        for c in packing:
             assert not c.vertex_set & used
             used |= c.vertex_set
 
 
 def test_k2_packing_empty(k2):
     m = enumerate_perfect_matchings(k2)[0]
-    assert max_disjoint_alternating_cycles(k2, m).size == 0
+    cycles = enumerate_alternating_cycles(k2, m)
+    assert len(max_disjoint_alternating_cycles(cycles)) == 0
 
 
 def test_gp10_spokes_packing_matches_exhaustive_oracle():
     g = build_gp(10, 2)
     spokes = edge_set(range(10, 20))
     cycles = enumerate_alternating_cycles(g, spokes)
-    assert max_disjoint_alternating_cycles(g, spokes).size == brute_max_packing(cycles)
+    assert len(max_disjoint_alternating_cycles(cycles)) == brute_max_packing(cycles)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
@@ -227,7 +261,7 @@ def test_packing_matches_exhaustive_oracle_everywhere(n):
     g = build_gp(n, 2)
     for m in enumerate_perfect_matchings(g):
         cycles = enumerate_alternating_cycles(g, m)
-        assert max_disjoint_alternating_cycles(g, m).size == brute_max_packing(cycles)
+        assert len(max_disjoint_alternating_cycles(cycles)) == brute_max_packing(cycles)
 
 
 def test_compute_forcing_dispatch(gp52, gp52_matchings):

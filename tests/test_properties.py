@@ -76,7 +76,7 @@ def test_forcing_criteria_agree_hypothesis(data, n):
 def test_packing_bounds_forcing_number_below(n):
     g, ms = graph_and_matchings(n)
     for m in ms:
-        c = max_disjoint_alternating_cycles(g, m).size
+        c = len(max_disjoint_alternating_cycles(enumerate_alternating_cycles(g, m)))
         f = forcing_number_by_hitting_set(g, m).forcing_number
         assert c <= f
 

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from gpforce import tables
 from gpforce.tables import (
     PUBLISHED_MATCHING_COUNTS,
     PUBLISHED_ORBIT_ROWS,
@@ -48,22 +49,20 @@ def test_large_tables_verify_with_subset_engine(n):
     assert check_table(n, engine="subset_search").ok
 
 
-def test_tampered_polynomial_fails_with_diff():
+def test_tampered_polynomial_fails_with_diff(monkeypatch):
     bad_poly = {2: 7}  # published value is {2: 6}
-    checks = verify_published_tables(
-        ns=[5], expected={5: (bad_poly, PUBLISHED_ORBIT_ROWS[5])}
-    )
+    monkeypatch.setitem(tables.PUBLISHED_POLYNOMIALS, 5, bad_poly)
+    checks = verify_published_tables(ns=[5])
     (check,) = checks
     assert not check.ok and not check.poly_ok and check.rows_ok
     diff = "\n".join(check.diff_lines())
     assert "expected 7x^2" in diff and "computed 6x^2" in diff
 
 
-def test_tampered_rows_fail_and_attach_dihedral_view():
+def test_tampered_rows_fail_and_attach_dihedral_view(monkeypatch):
     bad_rows = ((5, 2), (1, 3))  # FN of the singleton orbit tampered
-    checks = verify_published_tables(
-        ns=[5], expected={5: (PUBLISHED_POLYNOMIALS[5], bad_rows)}
-    )
+    monkeypatch.setitem(tables.PUBLISHED_ORBIT_ROWS, 5, bad_rows)
+    checks = verify_published_tables(ns=[5])
     (check,) = checks
     assert check.poly_ok and not check.rows_ok and not check.ok
     assert check.dihedral_rows is not None
