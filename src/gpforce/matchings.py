@@ -3,13 +3,17 @@
 Edge sets, matchings included, are plain ints whose set bits are canonical
 edge indices, so disjointness, containment, and symmetry images are single
 mask operations at any supported size.
+
+Enumeration and counting share one depth-first walker that covers vertices
+in ring order u0, v0, u1, v1, ... on an explicit stack, so neither has a
+recursion limit.
 """
 
 from __future__ import annotations
 
-from .graphs import DomainError, Graph
+from itertools import islice
 
-_NO_LIMIT = 1 << 62
+from .graphs import DomainError, Graph
 
 
 def iter_bits(mask: int):
@@ -42,48 +46,43 @@ def permute_edge_set(mask: int, perm) -> int:
     return out
 
 
+def _completions(g: Graph, covered: int):
+    """Yield each edge mask that completes vertex set `covered` to a perfect matching.
+
+    Vertices are walked in ring order u0, v0, u1, v1, ... (index order for
+    graphs without gp_params), relabelled once so that the next vertex to
+    branch on is the lowest uncovered bit.
+    """
+    order = range(g.num_vertices)
+    if g.gp_params is not None:
+        n = g.gp_params[0]
+        order = [v for i in range(n) for v in (i, n + i)]
+    pos = {v: p for p, v in enumerate(order)}
+    adj = [[(1 << pos[w], 1 << eid) for eid, w in g.incident[v]] for v in order]
+    full = g.full_vertex_mask
+    stack = [(sum(1 << pos[v] for v in iter_bits(covered)), 0)]
+    while stack:
+        covered, chosen = stack.pop()
+        if covered == full:
+            yield chosen
+            continue
+        rest = full & ~covered
+        vbit = rest & -rest
+        for wbit, ebit in adj[vbit.bit_length() - 1]:
+            if not covered & wbit:
+                stack.append((covered | vbit | wbit, chosen | ebit))
+
+
 def enumerate_perfect_matchings(g: Graph) -> list[int]:
     """All perfect matchings of g, sorted ascending by bit-encoding.
 
-    Backtracking always branches on the lowest-index uncovered vertex over
-    its incident edges; a branch dies when that vertex has no uncovered
-    neighbor left. Graphs with no perfect matching yield an empty list.
+    A depth-first walk on an explicit stack branches on the first uncovered
+    vertex in ring order u0, v0, u1, v1, ... over its incident edges; a
+    branch dies when that vertex has no uncovered neighbor left. Covering
+    each spoke pair together prunes dead branches early. Graphs with no
+    perfect matching yield an empty list.
     """
-    full = g.full_vertex_mask
-    incident = g.incident
-    out = []
-
-    def extend(covered: int, chosen: int):
-        if covered == full:
-            out.append(chosen)
-            return
-        rest = full & ~covered
-        vbit = rest & -rest
-        for eid, w in incident[vbit.bit_length() - 1]:
-            wbit = 1 << w
-            if covered & wbit:
-                continue
-            extend(covered | vbit | wbit, chosen | (1 << eid))
-
-    extend(0, 0)
-    out.sort()
-    return out
-
-
-def _count_capped(incident, full: int, covered: int, cap: int) -> int:
-    if covered == full:
-        return 1
-    rest = full & ~covered
-    vbit = rest & -rest
-    total = 0
-    for _, w in incident[vbit.bit_length() - 1]:
-        wbit = 1 << w
-        if covered & wbit:
-            continue
-        total += _count_capped(incident, full, covered | vbit | wbit, cap)
-        if total >= cap:
-            break
-    return total
+    return sorted(_completions(g, 0))
 
 
 def covered_vertices(g: Graph, s: int) -> int:
@@ -110,10 +109,8 @@ def count_matchings_containing(g: Graph, s: int, limit: int | None = None) -> in
     """
     if limit is not None and limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    covered = covered_vertices(g, s)
-    cap = _NO_LIMIT if limit is None else limit
-    count = _count_capped(g.incident, g.full_vertex_mask, covered, cap)
-    return min(cap, count)
+    completions = _completions(g, covered_vertices(g, s))
+    return sum(1 for _ in islice(completions, limit))
 
 
 def is_perfect_matching(g: Graph, m: int) -> bool:

@@ -286,9 +286,15 @@ def test_worker_free_commands_ignore_bad_force_threads(monkeypatch):
     assert code == EXIT_DOMAIN
 
 
-def test_crash_exits_unexpected_not_mismatch(capsys):
-    # enumeration recurses once per matched edge, so 1500 edges deep
-    # overflows the interpreter stack
-    code, _ = run_cli("matchings", "--n", "1500")
+def test_crash_exits_unexpected_not_mismatch(monkeypatch, capsys):
+    # an internal fault, injected into enumeration, must not read as a
+    # verification mismatch
+    import gpforce.cli as cli_mod
+
+    def broken(g):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli_mod, "enumerate_perfect_matchings", broken)
+    code, _ = run_cli("matchings", "--n", "5")
     assert code == EXIT_UNEXPECTED
-    assert "RecursionError" in capsys.readouterr().err
+    assert "RuntimeError" in capsys.readouterr().err

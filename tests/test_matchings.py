@@ -104,6 +104,33 @@ def test_count_agrees_with_enumeration_per_edge():
             assert count_matchings_containing(g, 1 << eid) == expected
 
 
+# Perfect-matching counts of GP(n,2), n = 16..32, from the transfer-matrix
+# count in the benchmark's oracles (bench/oracles.py), which shares no code
+# with gpforce; brute force stops at n = 7.
+GP_N2_COUNTS = dict(
+    zip(
+        range(16, 33),
+        (193, 273, 370, 495, 684, 942, 1277, 1749, 2414, 3306, 4525, 6232,
+         8577, 11775, 16200, 22321, 30721),
+    )
+)
+
+
+@pytest.mark.parametrize("n", sorted(GP_N2_COUNTS))
+def test_enumeration_count_beyond_brute_force(n):
+    assert len(enumerate_perfect_matchings(build_gp(n, 2))) == GP_N2_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_count_with_empty_set_beyond_brute_force(n):
+    assert count_matchings_containing(build_gp(n, 2), 0) == GP_N2_COUNTS[n]
+
+
+def test_count_needs_no_recursion():
+    # 1500 matched edges deep: a recursive search overflows the stack here
+    assert count_matchings_containing(build_gp(1500, 2), 0, limit=1) == 1
+
+
 def test_is_perfect_matching_edges(gp52, gp52_matchings):
     assert is_perfect_matching(gp52, gp52_matchings["m6"])
     assert not is_perfect_matching(gp52, edge_set([0]))  # u0-u2 leaves gaps
