@@ -14,6 +14,11 @@ engines here must always agree:
 Their agreement on every input is itself a theorem, which makes running both
 a built-in correctness oracle.
 
+The alternating cycles come from a depth-first walk on an explicit stack.
+Each stack entry links to its parent instead of carrying a copy of its path,
+and a cycle's vertex sequence and edge masks are rebuilt from those links
+only when the walk closes it.
+
 The transversal and the maximum disjoint packing, whose size C(G, M) bounds
 f(G, M) below, both read the list enumerate_alternating_cycles returns, so a
 caller that needs both enumerates once and passes the list on.
@@ -67,12 +72,22 @@ class ForcingResult:
 def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
     """Every M-alternating cycle of (g, m), each exactly once.
 
-    DFS over alternating paths seeded at each matched edge e = (a, b) with
-    a < b: the path starts a, b and only visits matched edges with index
-    greater than e, so e is the lexicographically smallest matched edge of
-    any cycle it closes and the fixed a -> b orientation rules out the
-    reversed traversal, so every cycle is closed exactly once. Sorted by
-    ascending length, then lexicographic vertex set, then edge set.
+    Depth-first search over alternating paths seeded at each matched edge
+    e0 = (a, b) with a < b: the path starts a, b and only visits matched edges
+    with index greater than e0, so e0 is the lexicographically smallest
+    matched edge of any cycle it closes and the fixed a -> b orientation rules
+    out the reversed traversal, so every cycle is closed exactly once. Sorted
+    by ascending length, then lexicographic vertex set, then edge set.
+
+    The walk keeps an explicit stack and tabulates each vertex's steps once
+    per call: a step from v takes an unmatched edge v-w, then w's matched edge
+    to its partner x. A stack entry is (x, vmask, parent, step_edges). vmask
+    holds the path's vertices plus the vertices of every matched edge up to
+    e0, so one test rejects both a revisit and an edge this seed may not use.
+    step_edges is the bitmask of the step's two edges, which names parallel
+    edges apart. Only when a step reaches a again is the cycle rebuilt: its
+    vertex sequence from the parent links, its edges as the union of their
+    step_edges, and its matched edges as those edges that lie in m.
     """
     if not is_perfect_matching(g, m):
         raise DomainError("not a perfect matching of this graph")
@@ -82,37 +97,39 @@ def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
         a, b = g.edges[eid]
         partner[a], partner[b] = b, a
         matched_edge_at[a] = matched_edge_at[b] = eid
-    incident = g.incident
+    # steps[v]: (w, x, bits of w and x, bits of the edges v-w and w-x)
+    steps = [[] for _ in range(g.num_vertices)]
+    for v, pairs in enumerate(g.incident):
+        for eid, w in pairs:
+            if not m >> eid & 1:
+                x = partner[w]
+                step_edges = 1 << eid | 1 << matched_edge_at[w]
+                steps[v].append((w, x, 1 << w | 1 << x, step_edges))
     cycles: list[AltCycle] = []
-
+    blocked = 0
     for e0 in iter_bits(m):
         a, b = g.edges[e0]
-
-        def walk(v: int, vmask: int, path: list[int], emask: int, mmask: int):
-            for eid, w in incident[v]:
-                if m >> eid & 1:  # this step must leave the matching
-                    continue
-                if w == a:
-                    edges = emask | (1 << eid)
-                    cycles.append(AltCycle(tuple(path), edges, mmask, vmask))
-                    continue
-                if vmask >> w & 1:
-                    continue
-                ew = matched_edge_at[w]
-                if ew <= e0:
-                    continue
-                x = partner[w]
-                if vmask >> x & 1:
-                    continue
-                walk(
-                    x,
-                    vmask | (1 << w) | (1 << x),
-                    path + [w, x],
-                    emask | (1 << eid) | (1 << ew),
-                    mmask | (1 << ew),
-                )
-
-        walk(b, (1 << a) | (1 << b), [a, b], 1 << e0, 1 << e0)
+        seed = 1 << a | 1 << b
+        blocked |= seed
+        stack = [(b, blocked, None, 1 << e0)]
+        push, pop = stack.append, stack.pop
+        while stack:
+            node = pop()
+            vmask = node[1]
+            for w, x, wx, step_edges in steps[node[0]]:
+                if not vmask & wx:
+                    push((x, vmask | wx, node, step_edges))
+                elif w == a:  # a is blocked, so a closing step lands here
+                    path = []
+                    edges = step_edges
+                    link = node
+                    while link is not None:
+                        v, _, link, link_edges = link
+                        path += v, partner[v]
+                        edges |= link_edges
+                    path.reverse()
+                    vertex_set = vmask ^ blocked | seed
+                    cycles.append(AltCycle(tuple(path), edges, edges & m, vertex_set))
 
     cycles.sort(key=lambda c: (len(c.vertices), tuple(sorted(c.vertices)), c.edges))
     return cycles
@@ -226,7 +243,10 @@ def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, .
 
     Exhaustive branch and bound over the canonically ordered cycle list:
     each node keeps the later cycles disjoint from everything chosen, and a
-    branch is pruned when even taking all of them cannot beat the incumbent.
+    branch is pruned when no family of its candidates can beat the incumbent.
+    Such a family has at most len(candidates) cycles, and at most the
+    candidates' vertex union divided by the shortest candidate's length, which
+    the canonical order (ascending length) puts first.
     """
     best: tuple[AltCycle, ...] = ()
 
@@ -234,7 +254,13 @@ def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, .
         nonlocal best
         if len(chosen) > len(best):
             best = chosen
-        if len(chosen) + len(candidates) <= len(best):
+        if not candidates:
+            return
+        union = 0
+        for c in candidates:
+            union |= c.vertex_set
+        room = union.bit_count() // len(candidates[0].vertices)
+        if len(chosen) + min(len(candidates), room) <= len(best):
             return
         for j, c in enumerate(candidates):
             rest = [d for d in candidates[j + 1 :] if not d.vertex_set & c.vertex_set]

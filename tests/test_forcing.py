@@ -12,6 +12,7 @@ from conftest import (
     cycle_graph,
 )
 from gpforce.forcing import (
+    AltCycle,
     compute_forcing,
     enumerate_alternating_cycles,
     forcing_number_by_hitting_set,
@@ -19,7 +20,7 @@ from gpforce.forcing import (
     is_forcing,
     max_disjoint_alternating_cycles,
 )
-from gpforce.graphs import DomainError, build_gp
+from gpforce.graphs import DomainError, Graph, build_gp
 from gpforce.matchings import (
     count_matchings_containing,
     edge_indices,
@@ -82,6 +83,62 @@ def test_cycles_are_even_and_alternating(gp52):
                 walked |= 1 << eid
                 assert bool(m >> eid & 1) == (i % 2 == 0)
             assert walked == c.edges
+
+
+def recursive_alternating_cycles(g, m):
+    # reference enumerator: a recursive walk that carries the path, the edge
+    # mask and the matched mask at every node, in the same canonical order
+    partner = [-1] * g.num_vertices
+    matched_edge_at = [-1] * g.num_vertices
+    for eid in iter_bits(m):
+        a, b = g.edges[eid]
+        partner[a], partner[b] = b, a
+        matched_edge_at[a] = matched_edge_at[b] = eid
+    cycles = []
+
+    for e0 in iter_bits(m):
+        a, b = g.edges[e0]
+
+        def walk(v, vmask, path, emask, mmask):
+            for eid, w in g.incident[v]:
+                if m >> eid & 1:
+                    continue
+                if w == a:
+                    cycles.append(AltCycle(tuple(path), emask | 1 << eid, mmask, vmask))
+                    continue
+                if vmask >> w & 1:
+                    continue
+                ew = matched_edge_at[w]
+                if ew <= e0:
+                    continue
+                x = partner[w]
+                if vmask >> x & 1:
+                    continue
+                walk(
+                    x,
+                    vmask | (1 << w) | (1 << x),
+                    path + [w, x],
+                    emask | (1 << eid) | (1 << ew),
+                    mmask | (1 << ew),
+                )
+
+        walk(b, (1 << a) | (1 << b), [a, b], 1 << e0, 1 << e0)
+
+    cycles.sort(key=lambda c: (len(c.vertices), tuple(sorted(c.vertices)), c.edges))
+    return cycles
+
+
+def test_alternating_cycles_match_recursive_walker():
+    # full AltCycle equality: vertex sequence and its orientation, edges,
+    # matched edges, vertex set, and the order of the list
+    graphs = [build_gp(n, 2) for n in range(5, 15)]
+    graphs += [build_gp(7, 3), build_gp(9, 4), build_gp(11, 3)]
+    # a 4-cycle with edge 1-2 doubled: two of its cycles share one vertex sequence
+    graphs.append(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 2)]))
+    for g in graphs:
+        for m in enumerate_perfect_matchings(g):
+            reference = recursive_alternating_cycles(g, m)
+            assert enumerate_alternating_cycles(g, m) == reference, (g, m)
 
 
 def test_cycle_enumeration_rejects_non_matching(gp52):
