@@ -17,8 +17,6 @@ from .graphs import (
     DomainError,
     Graph,
     build_gp,
-    rotate_edge_index,
-    rotation_edge_permutation,
     validate,
 )
 from .matchings import (
@@ -79,8 +77,6 @@ __all__ = [
     "max_disjoint_alternating_cycles",
     "parse_matching",
     "poly_stats",
-    "rotate_edge_index",
-    "rotation_edge_permutation",
     "validate",
     "verify_published_tables",
 ]

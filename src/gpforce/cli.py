@@ -29,7 +29,6 @@ import traceback
 from .forcing import (
     EngineMismatch,
     compute_forcing,
-    default_jobs,
     enumerate_alternating_cycles,
     max_disjoint_alternating_cycles,
 )
@@ -149,8 +148,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _jobs(args) -> int:
     """Worker count for the subcommands that fan out: --threads, then
-    FORCE_THREADS, then the usable cores."""
-    return args.threads if args.threads is not None else default_jobs()
+    FORCE_THREADS (under the same rule), then the cores this process may use.
+    The library reads no environment; this is the only place that does."""
+    if args.threads is not None:
+        return args.threads
+    env = os.environ.get("FORCE_THREADS", "").strip()
+    if env:
+        try:
+            return _worker_count(env)
+        except argparse.ArgumentTypeError as exc:
+            raise DomainError(f"FORCE_THREADS {exc}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_perfect_matching(g, text: str) -> int:
@@ -217,7 +227,7 @@ def cmd_force(args, out) -> int:
                     "witness": edge_indices(result.witness),
                     "packing_size": len(packing),
                     "n_alt_cycles": len(cycles),
-                    "engine": result.method,
+                    "engine": _ENGINES[args.engine],
                 }
             )
         )
@@ -227,7 +237,7 @@ def cmd_force(args, out) -> int:
         out.write(f"witness: {matching_text(g, result.witness) or '(empty)'}\n")
         out.write(f"max disjoint alternating cycles: {len(packing)}\n")
         out.write(f"alternating cycles: {len(cycles)}\n")
-        out.write(f"engine: {result.method}\n")
+        out.write(f"engine: {_ENGINES[args.engine]}\n")
     return EXIT_OK
 
 

@@ -27,7 +27,6 @@ caller that needs both enumerates once and passes the list on.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -66,7 +65,6 @@ class AltCycle:
 class ForcingResult:
     forcing_number: int
     witness: int  # a minimum forcing set, as an edge bitmask
-    method: str  # "subset_search" | "hitting_set" | "both"
 
 
 def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
@@ -177,7 +175,7 @@ def forcing_number_by_hitting_set(
         cycles = enumerate_alternating_cycles(g, m)
     cycle_masks = [c.matched_edges for c in cycles]
     if not cycle_masks:
-        return ForcingResult(0, 0, "hitting_set")
+        return ForcingResult(0, 0)
     best_size = m.bit_count()
     best_mask = m
 
@@ -195,7 +193,7 @@ def forcing_number_by_hitting_set(
             descend(chosen | ebit, size + 1, [cm for cm in masks if not cm & ebit])
 
     descend(0, 0, cycle_masks)
-    return ForcingResult(best_size, best_mask, "hitting_set")
+    return ForcingResult(best_size, best_mask)
 
 
 def _perfect_matchings(g: Graph) -> list[int]:
@@ -232,7 +230,7 @@ def forcing_number_by_subset_search(g: Graph, m: int) -> ForcingResult:
         for combo in combinations(bits, k):
             s = sum(combo)
             if all(s & ~q for q in maximal):
-                return ForcingResult(k, s, "subset_search")
+                return ForcingResult(k, s)
     raise AssertionError("unreachable: a matching always forces itself")
 
 
@@ -273,7 +271,8 @@ def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, .
 def compute_forcing(
     g: Graph, m: int, engine: str = "hitting_set", cycles: list[AltCycle] | None = None
 ) -> ForcingResult:
-    """Dispatch to one engine, or run both and insist they agree.
+    """Dispatch to one engine, or run both and insist they agree ("both"
+    then returns the hitting-set result).
 
     `cycles`, the already enumerated alternating cycles of (g, m), goes to
     the hitting set; the subset search does not read it.
@@ -290,7 +289,7 @@ def compute_forcing(
                 f"engines disagree on {g!r}, matching {m:#x}: "
                 f"hitting_set={hit.forcing_number}, subset_search={sub.forcing_number}"
             )
-        return ForcingResult(hit.forcing_number, hit.witness, "both")
+        return hit
     raise DomainError(f"unknown engine {engine!r}")
 
 
@@ -308,24 +307,8 @@ def _pool_task(m: int) -> ForcingResult:
     return compute_forcing(_POOL_GRAPH, m, _POOL_ENGINE)
 
 
-def default_jobs() -> int:
-    """Worker count: FORCE_THREADS env var, else the cores this process may use."""
-    env = os.environ.get("FORCE_THREADS", "").strip()
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise DomainError(f"FORCE_THREADS must be an integer, got {env!r}") from None
-        if jobs < 1:
-            raise DomainError("FORCE_THREADS must be >= 1")
-        return jobs
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def forcing_numbers_map(
-    g: Graph, matchings, engine: str = "hitting_set", jobs: int | None = None
+    g: Graph, matchings, engine: str = "hitting_set", jobs: int = 1
 ) -> list[ForcingResult]:
     """Per-matching forcing results, in input order.
 
@@ -333,8 +316,6 @@ def forcing_numbers_map(
     input order, so the output is identical for every worker count.
     """
     matchings = list(matchings)
-    if jobs is None:
-        jobs = default_jobs()
     if (
         jobs <= 1
         or len(matchings) < 8

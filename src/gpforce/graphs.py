@@ -194,25 +194,6 @@ def validate(g: Graph) -> list[str]:
     return problems
 
 
-def rotate_edge_index(g: Graph, eid: int, j: int) -> int:
-    """Image of an edge index under the rotation u_i -> u_{i+j}, v_i -> v_{i+j}.
-
-    Within each edge class the map is i -> (i + j) mod n; j is reduced mod n.
-    """
-    if g.gp_params is None:
-        raise DomainError("rotation is only defined for GP graphs")
-    n = g.gp_params[0]
-    if not 0 <= eid < g.num_edges:
-        raise DomainError(f"edge index {eid} out of range")
-    cls, i = divmod(eid, n)
-    return cls * n + (i + j) % n
-
-
-def rotation_edge_permutation(g: Graph, j: int) -> tuple[int, ...]:
-    """Edge-index permutation realizing the rotation by j."""
-    return tuple(rotate_edge_index(g, e, j) for e in range(g.num_edges))
-
-
 def vertex_map_edge_permutation(g: Graph, vmap) -> tuple[int, ...]:
     """Edge permutation induced by a vertex bijection.
 
@@ -222,28 +203,23 @@ def vertex_map_edge_permutation(g: Graph, vmap) -> tuple[int, ...]:
     return tuple(g.find_edge(vmap[a], vmap[b]) for a, b in g.edges)
 
 
-def reflection_edge_permutation(g: Graph) -> tuple[int, ...]:
-    """Edge permutation for the mirror u_i -> u_{-i}, v_i -> v_{-i}."""
-    if g.gp_params is None:
-        raise DomainError("reflection is only defined for GP graphs")
-    n = g.gp_params[0]
-    vmap = [(-v) % n if v < n else n + (-(v - n)) % n for v in range(2 * n)]
-    return vertex_map_edge_permutation(g, vmap)
-
-
 def symmetry_edge_permutations(g: Graph, group: str = "rotation") -> list[tuple[int, ...]]:
-    """All edge permutations of the chosen symmetry group.
+    """All edge permutations of the chosen symmetry group, each carried to
+    the edges from its vertex map.
 
-    "rotation" gives the n cyclic maps; "dihedral" adds the n reflected ones.
+    "rotation" gives u_i -> u_{i+j}, v_i -> v_{i+j} for j = 0..n-1, in that
+    order; "dihedral" appends the reflections u_i -> u_{j-i}, v_i -> v_{j-i}.
     """
     if g.gp_params is None:
         raise DomainError("symmetry groups are only defined for GP graphs")
+    if group not in ("rotation", "dihedral"):
+        raise DomainError(f"unknown symmetry group {group!r}")
     n = g.gp_params[0]
-    perms = [rotation_edge_permutation(g, j) for j in range(n)]
-    if group == "rotation":
-        return perms
-    if group == "dihedral":
-        mirror = reflection_edge_permutation(g)
-        perms += [tuple(rot[mirror[e]] for e in range(g.num_edges)) for rot in perms]
-        return perms
-    raise DomainError(f"unknown symmetry group {group!r}")
+    signs = (1, -1) if group == "dihedral" else (1,)
+    return [
+        vertex_map_edge_permutation(
+            g, [ring + (sign * i + j) % n for ring in (0, n) for i in range(n)]
+        )
+        for sign in signs
+        for j in range(n)
+    ]

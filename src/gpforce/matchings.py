@@ -115,16 +115,12 @@ def count_matchings_containing(g: Graph, s: int, limit: int | None = None) -> in
 
 def is_perfect_matching(g: Graph, m: int) -> bool:
     """True iff the edges of m are pairwise disjoint and cover every vertex."""
-    covered = 0
-    for eid in iter_bits(m):
-        if eid >= g.num_edges:
-            return False
-        a, b = g.edges[eid]
-        bits = (1 << a) | (1 << b)
-        if covered & bits:
-            return False
-        covered |= bits
-    return covered == g.full_vertex_mask
+    if m >> g.num_edges:
+        return False  # an edge index out of range
+    try:
+        return covered_vertices(g, m) == g.full_vertex_mask
+    except DomainError:  # two edges share a vertex
+        return False
 
 
 def matching_text(g: Graph, m: int) -> str:

@@ -96,7 +96,7 @@ def poly_stats(p: ForcingPolynomial) -> PolyStats:
 
 
 def analyze(
-    g: Graph, engine: str = "hitting_set", jobs: int | None = None
+    g: Graph, engine: str = "hitting_set", jobs: int = 1
 ) -> tuple[list[int], list[ForcingResult], ForcingPolynomial]:
     """Enumerate g's perfect matchings, compute each forcing number with the
     chosen engine ("both" cross-checks) and tally them into the polynomial.
@@ -157,7 +157,8 @@ def matching_orbits(
     """Partition matchings into orbits of the chosen symmetry group.
 
     `results` gives each matching's forcing number (ForcingResult or int),
-    aligned with `matchings`. Orbits come back sorted by representative.
+    aligned with `matchings`. Orbits come back sorted by representative:
+    the smallest matching not yet seen is the smallest of its orbit.
     Raises OrbitInconsistency if an orbit's members disagree on the forcing
     number or fall outside the matching list, both of which would mean a bug
     somewhere upstream.
@@ -192,7 +193,6 @@ def matching_orbits(
                 members=tuple(members),
             )
         )
-    orbits.sort(key=lambda o: o.representative)
     return orbits
 
 

@@ -112,7 +112,7 @@ class TableCheck:
 
 
 def check_table(
-    n: int, engine: str = "hitting_set", jobs: int | None = None
+    n: int, engine: str = "hitting_set", jobs: int = 1
 ) -> TableCheck:
     """Recompute GP(n,2) and diff it against one published table.
 
@@ -138,7 +138,7 @@ def check_table(
 
 
 def verify_published_tables(
-    ns=None, engine: str = "hitting_set", jobs: int | None = None
+    ns=None, engine: str = "hitting_set", jobs: int = 1
 ) -> list[TableCheck]:
     """Re-derive every requested table, by default all published ones."""
     if ns is None:

@@ -251,7 +251,7 @@ def test_engine_mismatch_exits_3(monkeypatch, capsys):
 
     def skewed(g, m):
         r = real(g, m)
-        return ForcingResult(r.forcing_number + 1, r.witness, r.method)
+        return ForcingResult(r.forcing_number + 1, r.witness)
 
     monkeypatch.setattr(forcing_mod, "forcing_number_by_subset_search", skewed)
     code, _ = run_cli("poly", "--n", "5", "--engine", "both", "--threads", "1")
@@ -283,6 +283,18 @@ def test_worker_free_commands_ignore_bad_force_threads(monkeypatch):
     code, text = run_cli("graph", "--n", "5")
     assert code == EXIT_OK and "valid" in text
     code, _ = run_cli("poly", "--n", "5")
+    assert code == EXIT_DOMAIN
+
+
+def test_library_ignores_force_threads(monkeypatch):
+    # only the CLI resolves the worker count; a library call runs in one
+    # process unless it is given jobs
+    from gpforce.graphs import build_gp
+    from gpforce.polynomial import analyze
+
+    monkeypatch.setenv("FORCE_THREADS", "abc")
+    assert analyze(build_gp(6, 2))[2].coeffs == {2: 10}
+    code, _ = run_cli("poly", "--n", "6")
     assert code == EXIT_DOMAIN
 
 

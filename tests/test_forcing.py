@@ -323,9 +323,11 @@ def test_packing_matches_exhaustive_oracle_everywhere(n):
 
 def test_compute_forcing_dispatch(gp52, gp52_matchings):
     m = gp52_matchings["m1"]
-    assert compute_forcing(gp52, m, "hitting_set").method == "hitting_set"
-    assert compute_forcing(gp52, m, "subset_search").method == "subset_search"
+    hit = forcing_number_by_hitting_set(gp52, m)
+    assert compute_forcing(gp52, m, "hitting_set") == hit
+    sub = forcing_number_by_subset_search(gp52, m)
+    assert compute_forcing(gp52, m, "subset_search") == sub
     both = compute_forcing(gp52, m, "both")
-    assert both.method == "both" and both.forcing_number == 2
+    assert both == hit and both.forcing_number == 2
     with pytest.raises(DomainError):
         compute_forcing(gp52, m, "oracle")

@@ -9,9 +9,6 @@ from gpforce.graphs import (
     DomainError,
     Graph,
     build_gp,
-    reflection_edge_permutation,
-    rotate_edge_index,
-    rotation_edge_permutation,
     symmetry_edge_permutations,
     validate,
     vertex_map_edge_permutation,
@@ -83,16 +80,38 @@ def test_edge_names(gp52):
     assert gp52.edge_name(14) == "v0-v4"
 
 
+def arithmetic_rotation(n: int, eid: int, j: int) -> int:
+    """Reference: the image of an edge index under the rotation by j, by index
+    arithmetic on the [inner | spokes | outer] layout."""
+    cls, i = divmod(eid, n)
+    return cls * n + (i + j) % n
+
+
 def test_rotation_identity_and_shift(gp52):
-    assert rotate_edge_index(gp52, 7, 0) == 7
-    assert rotate_edge_index(gp52, 0, 1) == 1        # inner i=0 -> i=1
-    assert rotate_edge_index(gp52, 14, 1) == 10      # outer i=4 wraps to i=0
-    assert rotate_edge_index(gp52, 9, 2) == 6        # spoke i=4 -> i=1
+    rotations = symmetry_edge_permutations(gp52, "rotation")
+    assert rotations[0][7] == 7
+    assert rotations[1][0] == 1        # inner i=0 -> i=1
+    assert rotations[1][14] == 10      # outer i=4 wraps to i=0
+    assert rotations[2][9] == 6        # spoke i=4 -> i=1
 
 
 def test_rotation_requires_gp(k2):
-    with pytest.raises(DomainError):
-        rotate_edge_index(k2, 0, 1)
+    for group in ("rotation", "dihedral"):
+        with pytest.raises(DomainError):
+            symmetry_edge_permutations(k2, group)
+
+
+def test_rotations_match_index_arithmetic():
+    for n in range(5, 17):
+        for k in range(1, n):
+            if 2 * k == n:
+                continue
+            g = build_gp(n, k)
+            expected = [
+                tuple(arithmetic_rotation(n, e, j) for e in range(g.num_edges))
+                for j in range(n)
+            ]
+            assert symmetry_edge_permutations(g, "rotation") == expected, (n, k)
 
 
 @given(
@@ -106,10 +125,11 @@ def test_rotation_bijection_and_composition(n, k, j1, j2):
         return
     g = build_gp(n, k)
     j1, j2 = j1 % n, j2 % n
-    p1 = rotation_edge_permutation(g, j1)
+    rotations = symmetry_edge_permutations(g, "rotation")
+    p1 = rotations[j1]
     assert sorted(p1) == list(range(g.num_edges))
-    composed = tuple(rotation_edge_permutation(g, j2)[p1[e]] for e in range(g.num_edges))
-    assert composed == rotation_edge_permutation(g, (j1 + j2) % n)
+    composed = tuple(rotations[j2][p1[e]] for e in range(g.num_edges))
+    assert composed == rotations[(j1 + j2) % n]
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (8, 2), (9, 2), (7, 3), (11, 4)])
@@ -117,16 +137,38 @@ def test_rotation_is_an_automorphism(n, k):
     # the image of the edge set under each rotation must be the edge set;
     # vertex_map_edge_permutation raises if any image edge is missing
     g = build_gp(n, k)
+    rotations = symmetry_edge_permutations(g, "rotation")
     for j in range(n):
         vmap = [(v + j) % n if v < n else n + ((v - n) + j) % n for v in range(2 * n)]
-        assert vertex_map_edge_permutation(g, vmap) == rotation_edge_permutation(g, j)
+        assert vertex_map_edge_permutation(g, vmap) == rotations[j]
 
 
 def test_reflection_is_an_automorphism(gp52):
-    perm = reflection_edge_permutation(gp52)
-    assert sorted(perm) == list(range(15))
-    # reflecting twice is the identity
-    assert tuple(perm[perm[e]] for e in range(15)) == tuple(range(15))
+    reflections = symmetry_edge_permutations(gp52, "dihedral")[5:]
+    assert len(reflections) == 5
+    for perm in reflections:
+        assert sorted(perm) == list(range(15))
+        # reflecting twice is the identity
+        assert tuple(perm[perm[e]] for e in range(15)) == tuple(range(15))
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (8, 3), (12, 2), (13, 5)])
+def test_dihedral_group_is_closed(n, k):
+    g = build_gp(n, k)
+    perms = symmetry_edge_permutations(g, "dihedral")
+    assert len(perms) == len(set(perms)) == 2 * n
+    assert perms[:n] == symmetry_edge_permutations(g, "rotation")
+    group = set(perms)
+    for p in perms:
+        for q in perms:
+            assert tuple(q[p[e]] for e in range(g.num_edges)) in group
+
+
+def test_non_automorphism_vertex_map_raises(gp52):
+    vmap = list(range(10))
+    vmap[0], vmap[5] = 5, 0  # swap u0 and v0: u0-u2 would go to v0-u2
+    with pytest.raises(DomainError):
+        vertex_map_edge_permutation(gp52, vmap)
 
 
 def test_symmetry_group_sizes(gp52):

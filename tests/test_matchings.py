@@ -136,6 +136,7 @@ def test_is_perfect_matching_edges(gp52, gp52_matchings):
     assert not is_perfect_matching(gp52, edge_set([0]))  # u0-u2 leaves gaps
     overlapping = edge_set([gp52.find_edge(0, 2), gp52.find_edge(2, 4)])
     assert not is_perfect_matching(gp52, overlapping)
+    assert not is_perfect_matching(gp52, gp52_matchings["m6"] | 1 << 15)  # no edge 15
 
 
 def test_text_forms_roundtrip(gp52, gp52_matchings):

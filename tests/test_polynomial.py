@@ -88,7 +88,7 @@ def test_engine_mismatch_aborts(gp52, monkeypatch):
 
     def skewed(g, m):
         r = real(g, m)
-        return ForcingResult(r.forcing_number + 1, r.witness, r.method)
+        return ForcingResult(r.forcing_number + 1, r.witness)
 
     monkeypatch.setattr(forcing_mod, "forcing_number_by_subset_search", skewed)
     with pytest.raises(EngineMismatch):

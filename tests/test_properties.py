@@ -18,7 +18,7 @@ from gpforce.forcing import (
     is_forcing,
     max_disjoint_alternating_cycles,
 )
-from gpforce.graphs import build_gp, rotation_edge_permutation
+from gpforce.graphs import build_gp, symmetry_edge_permutations
 from gpforce.matchings import (
     count_matchings_containing,
     enumerate_perfect_matchings,
@@ -116,7 +116,7 @@ def test_no_smaller_subset_forces(n):
 def test_rotation_preserves_matchings_and_forcing(data, n, j):
     g, ms = graph_and_matchings(n)
     m = data.draw(st.sampled_from(ms))
-    image = permute_edge_set(m, rotation_edge_permutation(g, j % n))
+    image = permute_edge_set(m, symmetry_edge_permutations(g, "rotation")[j % n])
     assert is_perfect_matching(g, image)
     assert image in set(ms)
     assert (
