@@ -7,9 +7,13 @@ then the cores this process may use. Outputs are assembled after a
 deterministic sort, so they are byte-identical for any worker count.
 
 poly, orbits and verify-paper all run one pipeline, polynomial.analyze:
-enumerate the perfect matchings, map each to its forcing number, tally the
-forcing polynomial. The JSON report of a polynomial (n, k, coefficients,
-statistics, orbit rows) is rendered by polynomial.report_json alone.
+enumerate the perfect matchings, compute the forcing number of the smallest
+member of each dihedral orbit, copy it to the other members, tally the
+forcing polynomial. The workers share the orbit representatives, and
+--engine both compares the two engines on each representative. Orbit tables
+partition the matchings again, under either group, from the copied results.
+The JSON report of a polynomial (n, k, coefficients, statistics, orbit rows)
+is rendered by polynomial.report_json alone.
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error or invalid
 arguments, 3 internal consistency failure (the engines or orbit bookkeeping

@@ -86,10 +86,13 @@ def enumerate_perfect_matchings(g: Graph) -> list[int]:
 
 
 def covered_vertices(g: Graph, s: int) -> int:
-    """Vertex mask covered by edge set s; DomainError when two edges share a vertex."""
+    """Vertex mask covered by edge set s; DomainError when two edges share a
+    vertex or an edge has an endpoint outside the graph (see graphs.validate)."""
     covered = 0
     for eid in iter_bits(s):
         a, b = g.edges[eid]
+        if a < 0 or b >= g.num_vertices:  # edges are stored with a <= b
+            raise DomainError(f"edge {eid} endpoint out of range: ({a}, {b})")
         bits = (1 << a) | (1 << b)
         if covered & bits:
             raise DomainError(
@@ -119,7 +122,7 @@ def is_perfect_matching(g: Graph, m: int) -> bool:
         return False  # an edge index out of range
     try:
         return covered_vertices(g, m) == g.full_vertex_mask
-    except DomainError:  # two edges share a vertex
+    except DomainError:  # two edges share a vertex, or one leaves the graph
         return False
 
 

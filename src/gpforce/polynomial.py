@@ -8,7 +8,8 @@ number, and the support the forcing spectrum.
 Orbits partition the matchings of a GP graph under the cyclic rotations
 u_i -> u_{i+j}, v_i -> v_{i+j} (optionally the full dihedral group); every
 member of an orbit shares one forcing number because the maps are graph
-automorphisms.
+automorphisms. So analyze computes one forcing number per dihedral orbit
+and copies it, with a witness mapped to fit, to the other members.
 """
 
 from __future__ import annotations
@@ -95,16 +96,62 @@ def poly_stats(p: ForcingPolynomial) -> PolyStats:
     )
 
 
+def _orbit_maps(matchings: list[int], perms):
+    """Partition the ascending `matchings` into orbits of the group of edge
+    permutations `perms`, whose first member is the identity.
+
+    Yields one dict per orbit, in ascending order of its smallest member,
+    mapping each member to the first permutation that carries the smallest
+    member onto it; the smallest member is the dict's first key. Raises
+    OrbitInconsistency if an image falls outside `matchings`.
+    """
+    unseen = set(matchings)
+    for m in matchings:
+        if m not in unseen:
+            continue
+        images: dict[int, tuple[int, ...]] = {}
+        for p in perms:
+            images.setdefault(permute_edge_set(m, p), p)
+        for im in images:
+            if im not in unseen:
+                raise OrbitInconsistency(
+                    f"orbit image {im:#x} of {m:#x} is not a known perfect matching"
+                )
+        unseen.difference_update(images)
+        yield images
+
+
 def analyze(
     g: Graph, engine: str = "hitting_set", jobs: int = 1
 ) -> tuple[list[int], list[ForcingResult], ForcingPolynomial]:
-    """Enumerate g's perfect matchings, compute each forcing number with the
+    """Enumerate g's perfect matchings, compute their forcing numbers with the
     chosen engine ("both" cross-checks) and tally them into the polynomial.
+
+    On a GP graph the engine runs once per dihedral orbit, on its smallest
+    member, and `jobs` workers share those representatives. Every other
+    member gets the representative's forcing number, and as its witness the
+    representative's witness carried by an automorphism that takes the
+    representative to the member: a minimum forcing set of the member, though
+    not always the one the engine would pick for it. A graph without
+    gp_params has no symmetry group here and gets one engine call per
+    matching.
 
     Returns the sorted matchings, their aligned results and the polynomial.
     """
     matchings = enumerate_perfect_matchings(g)
-    results = forcing_numbers_map(g, matchings, engine=engine, jobs=jobs)
+    if g.gp_params is None:
+        results = forcing_numbers_map(g, matchings, engine=engine, jobs=jobs)
+    else:
+        orbits = list(_orbit_maps(matchings, symmetry_edge_permutations(g, "dihedral")))
+        reps = [next(iter(images)) for images in orbits]
+        rep_results = forcing_numbers_map(g, reps, engine=engine, jobs=jobs)
+        copied = {}
+        for images, r in zip(orbits, rep_results):
+            for member, p in images.items():
+                copied[member] = ForcingResult(
+                    r.forcing_number, permute_edge_set(r.witness, p)
+                )
+        results = [copied[m] for m in matchings]
     coeffs: dict[int, int] = {}
     for r in results:
         coeffs[r.forcing_number] = coeffs.get(r.forcing_number, 0) + 1
@@ -168,23 +215,13 @@ def matching_orbits(
     for m, r in zip(matchings, results):
         fn_of[m] = r.forcing_number if isinstance(r, ForcingResult) else int(r)
     orbits = []
-    seen = set()
-    for m in sorted(fn_of):
-        if m in seen:
-            continue
-        members = sorted({permute_edge_set(m, p) for p in perms})
-        fns = set()
-        for im in members:
-            if im not in fn_of:
-                raise OrbitInconsistency(
-                    f"orbit image {im:#x} of {m:#x} is not a known perfect matching"
-                )
-            fns.add(fn_of[im])
+    for images in _orbit_maps(sorted(fn_of), perms):
+        members = sorted(images)
+        fns = {fn_of[im] for im in members}
         if len(fns) != 1:
             raise OrbitInconsistency(
-                f"orbit of {m:#x} carries forcing numbers {sorted(fns)}"
+                f"orbit of {members[0]:#x} carries forcing numbers {sorted(fns)}"
             )
-        seen.update(members)
         orbits.append(
             Orbit(
                 representative=members[0],

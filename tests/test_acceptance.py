@@ -179,11 +179,13 @@ def test_criterion_7_structural_properties(published_checks, dual_engine_sweep):
             poly[r.forcing_number] += 1
         assert per_fn == poly
         assert sum(o.size for o in orbits) == len(ms)
-    # byte-identical reports across worker counts
+    # byte-identical reports across worker counts; GP(16,2) has 14 dihedral
+    # orbit representatives, enough for forcing_numbers_map to start a pool
     import io
 
     for argv in (
         ["poly", "--n", "9", "--orbits"],
+        ["poly", "--n", "16", "--orbits", "--group", "dihedral"],
         ["verify-paper", "--min", "5", "--max", "7", "--format", "json"],
     ):
         outs = []

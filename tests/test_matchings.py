@@ -3,9 +3,10 @@
 import pytest
 
 from conftest import brute_force_matchings, cycle_graph, path_graph
-from gpforce.graphs import DomainError, build_gp
+from gpforce.graphs import DomainError, Graph, build_gp
 from gpforce.matchings import (
     count_matchings_containing,
+    covered_vertices,
     edge_indices,
     edge_set,
     enumerate_perfect_matchings,
@@ -137,6 +138,18 @@ def test_is_perfect_matching_edges(gp52, gp52_matchings):
     overlapping = edge_set([gp52.find_edge(0, 2), gp52.find_edge(2, 4)])
     assert not is_perfect_matching(gp52, overlapping)
     assert not is_perfect_matching(gp52, gp52_matchings["m6"] | 1 << 15)  # no edge 15
+
+
+@pytest.mark.parametrize("edges", [[(-1, 0), (0, 1)], [(0, 5), (0, 1)]])
+def test_endpoint_out_of_range_is_a_domain_error(edges):
+    # validate reports such an edge; the matching checks must not crash on it
+    g = Graph.from_edges(2, edges)
+    with pytest.raises(DomainError, match="out of range"):
+        covered_vertices(g, 1)
+    with pytest.raises(DomainError, match="out of range"):
+        count_matchings_containing(g, 1)
+    assert not is_perfect_matching(g, 1)
+    assert is_perfect_matching(g, 2)
 
 
 def test_text_forms_roundtrip(gp52, gp52_matchings):

@@ -1,12 +1,20 @@
 """Forcing polynomials, derived statistics, and rotation orbits."""
 
+import io
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from gpforce.cli import main as cli_main
 from gpforce.forcing import EngineMismatch, ForcingResult, forcing_numbers_map
 from gpforce.graphs import DomainError, build_gp
-from gpforce.matchings import enumerate_perfect_matchings, permute_edge_set
+from gpforce.matchings import (
+    count_matchings_containing,
+    enumerate_perfect_matchings,
+    permute_edge_set,
+)
 from gpforce.polynomial import (
     ForcingPolynomial,
     OrbitInconsistency,
@@ -16,6 +24,7 @@ from gpforce.polynomial import (
     orbit_polynomial,
     poly_stats,
     polynomial_text,
+    report_json,
 )
 from gpforce.graphs import symmetry_edge_permutations
 
@@ -208,3 +217,53 @@ def test_forcing_numbers_map_parallel_matches_serial():
     serial = forcing_numbers_map(g, ms, engine="hitting_set", jobs=1)
     parallel = forcing_numbers_map(g, ms, engine="hitting_set", jobs=2)
     assert serial == parallel
+
+
+@pytest.fixture(scope="module")
+def per_matching():
+    """(g, matchings, results) with one engine call per matching: the
+    reference for the results analyze copies across dihedral orbits."""
+    cache = {}
+
+    def get(n, k):
+        if (n, k) not in cache:
+            g = build_gp(n, k)
+            ms = enumerate_perfect_matchings(g)
+            cache[n, k] = (g, ms, forcing_numbers_map(g, ms))
+        return cache[n, k]
+
+    return get
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, 2) for n in range(5, 19)] + [(7, 3), (9, 4), (11, 3)]
+)
+def test_analyze_copies_agree_with_per_matching_results(n, k, per_matching):
+    g, ms, reference = per_matching(n, k)
+    matchings, results, poly = analyze(g)
+    assert matchings == ms
+    assert [r.forcing_number for r in results] == [r.forcing_number for r in reference]
+    assert poly.coeffs == Counter(r.forcing_number for r in reference)
+    for m, r in zip(matchings, results):
+        w = r.witness
+        assert w & ~m == 0 and w.bit_count() == r.forcing_number
+        assert count_matchings_containing(g, w, limit=2) == 1
+
+
+def _cli(argv) -> str:
+    buf = io.StringIO()
+    assert cli_main(argv + ["--threads", "1"], out=buf) == 0
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", range(13, 19))
+def test_orbit_reports_agree_with_per_matching_results(n, per_matching):
+    # extends the golden file's byte-for-byte guard (n <= 12) to larger n
+    g, ms, reference = per_matching(n, 2)
+    poly = ForcingPolynomial(dict(Counter(r.forcing_number for r in reference)))
+    rotation = matching_orbits(g, ms, reference, group="rotation")
+    report = {**report_json(g, poly, rotation), "engine": "hitting_set"}
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert _cli(["poly", "--n", str(n), "--orbits", "--format", "json"]) == expected
+    dihedral = OrbitTable(g, tuple(matching_orbits(g, ms, reference, group="dihedral")))
+    assert _cli(["orbits", "--n", str(n), "--group", "dihedral"]) == dihedral.to_text()
