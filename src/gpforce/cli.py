@@ -4,7 +4,8 @@ Subcommands: graph, matchings, force, cycles, packing, poly, orbits,
 verify-paper. The last three fan out over worker processes; their worker
 count comes from --threads, then the FORCE_THREADS environment variable,
 then the cores this process may use. Outputs are assembled after a
-deterministic sort, so they are byte-identical for any worker count.
+deterministic sort, so they are byte-identical for any worker count. The
+argument parser is built once per process, on the first main call.
 
 poly, orbits and verify-paper all run one pipeline, polynomial.analyze:
 enumerate the perfect matchings, compute the forcing number of the smallest
@@ -25,6 +26,7 @@ as a shell reports it for a C tool in a pipeline such as `gpforce ... | head`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -103,6 +105,7 @@ def _add_common(sub, engine=True, fmt=("table", "json"), group=False):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpforce",

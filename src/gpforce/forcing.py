@@ -240,11 +240,14 @@ def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, .
     C(g, m).
 
     Exhaustive branch and bound over the canonically ordered cycle list:
-    each node keeps the later cycles disjoint from everything chosen, and a
-    branch is pruned when no family of its candidates can beat the incumbent.
-    Such a family has at most len(candidates) cycles, and at most the
-    candidates' vertex union divided by the shortest candidate's length, which
-    the canonical order (ascending length) puts first.
+    each node keeps the later cycles disjoint from everything chosen, and
+    stops before branching on candidate j when no family from candidates[j:]
+    can beat the incumbent. Such a family has at most len(candidates) - j
+    cycles, and at most the vertex union of candidates[j:] over the length of
+    candidates[j], which the canonical order (ascending length) makes the
+    suffix's shortest cycle; the bound only falls as j grows. Only branches
+    that cannot strictly beat the incumbent are cut, so the search returns
+    the first maximum family in index order, as an unpruned search would.
     """
     best: tuple[AltCycle, ...] = ()
 
@@ -252,15 +255,14 @@ def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, .
         nonlocal best
         if len(chosen) > len(best):
             best = chosen
-        if not candidates:
-            return
-        union = 0
-        for c in candidates:
-            union |= c.vertex_set
-        room = union.bit_count() // len(candidates[0].vertices)
-        if len(chosen) + min(len(candidates), room) <= len(best):
-            return
+        k = len(candidates)
+        unions = [0] * (k + 1)  # unions[j]: the vertex union of candidates[j:]
+        for j in range(k - 1, -1, -1):
+            unions[j] = unions[j + 1] | candidates[j].vertex_set
         for j, c in enumerate(candidates):
+            room = unions[j].bit_count() // len(c.vertices)
+            if len(chosen) + min(k - j, room) <= len(best):
+                return
             rest = [d for d in candidates[j + 1 :] if not d.vertex_set & c.vertex_set]
             grow(rest, chosen + (c,))
 

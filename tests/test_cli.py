@@ -112,6 +112,50 @@ def test_force_enumerates_cycles_once(monkeypatch, engine):
     assert len(calls) == 1
 
 
+def test_parser_is_built_once_and_leaks_no_state(monkeypatch, capsys):
+    # main reuses one parser for every call in a process; no call may see
+    # what an earlier one parsed
+    import gpforce.cli as cli_mod
+
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+
+    with pytest.raises(SystemExit) as exc:
+        run_cli("force", "--n", "5")
+    assert exc.value.code == EXIT_DOMAIN
+    assert "--matching" in capsys.readouterr().err
+    code, text = run_cli("force", "--n", "5", "--matching", M1)
+    assert code == EXIT_OK and "forcing number: 2" in text
+
+    force_json = ("force", "--n", "5", "--matching", M1, "--format", "json")
+    code, text = run_cli(*force_json, "--engine", "subsets")
+    assert code == EXIT_OK and json.loads(text)["engine"] == "subset_search"
+    code, text = run_cli(*force_json)
+    assert code == EXIT_OK and json.loads(text)["engine"] == "hitting_set"
+
+    real = cli_mod.analyze
+    jobs = []
+
+    def recorded(g, engine, n_jobs):
+        jobs.append(n_jobs)
+        return real(g, engine, n_jobs)
+
+    monkeypatch.setattr(cli_mod, "analyze", recorded)
+    monkeypatch.setenv("FORCE_THREADS", "1")
+    code, first = run_cli("poly", "--n", "9", "--threads", "2")
+    assert code == EXIT_OK
+    code, second = run_cli("poly", "--n", "9")
+    assert code == EXIT_OK and second == first
+    assert jobs == [2, 1]
+
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == EXIT_OK
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "verify-paper" in helps[0]
+
+
 def test_force_rejects_partial_matching(capsys):
     code, _ = run_cli("force", "--n", "5", "--matching", "u0-u2")
     assert code == EXIT_DOMAIN

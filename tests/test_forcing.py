@@ -289,6 +289,54 @@ def test_packing_matches_rescanning_packing():
             assert packing == rescanning_packing(cycles), (g, m)
 
 
+def node_bound_packing(cycles):
+    # reference packing: the same branch and bound with one bound per node,
+    # on all of its candidates, instead of one bound per branch
+    best = ()
+
+    def grow(candidates, chosen):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        if not candidates:
+            return
+        union = 0
+        for c in candidates:
+            union |= c.vertex_set
+        room = union.bit_count() // len(candidates[0].vertices)
+        if len(chosen) + min(len(candidates), room) <= len(best):
+            return
+        for j, c in enumerate(candidates):
+            rest = [d for d in candidates[j + 1 :] if not d.vertex_set & c.vertex_set]
+            grow(rest, chosen + (c,))
+
+    grow(cycles, ())
+    return best
+
+
+# the three dihedral orbit representatives of GP(24,2) with the most
+# alternating cycles, where the per-branch bound cuts the most
+GP24_MANY_CYCLES = {
+    2407: "u1-u3,u4-u6,u7-u9,u10-u12,u13-u15,u16-u18,u19-u21,u0-u22,u2-v2,u5-v5,"
+    "u8-v8,u11-v11,u14-v14,u17-v17,u20-v20,u23-v23,v0-v1,v3-v4,v6-v7,v9-v10,"
+    "v12-v13,v15-v16,v18-v19,v21-v22",
+    2406: "u1-u3,u2-u4,u5-u7,u6-u8,u9-u11,u10-u12,u13-u15,u14-u16,u17-u19,u18-u20,"
+    "u21-u23,u0-u22,v0-v1,v2-v3,v4-v5,v6-v7,v8-v9,v10-v11,v12-v13,v14-v15,"
+    "v16-v17,v18-v19,v20-v21,v22-v23",
+    1726: "u1-u3,u2-u4,u5-u7,u6-u8,u9-u11,u10-u12,u13-u15,u16-u18,u19-u21,u0-u22,"
+    "u14-v14,u17-v17,u20-v20,u23-v23,v0-v1,v2-v3,v4-v5,v6-v7,v8-v9,v10-v11,"
+    "v12-v13,v15-v16,v18-v19,v21-v22",
+}
+
+
+@pytest.mark.parametrize("n_cycles", sorted(GP24_MANY_CYCLES))
+def test_packing_matches_node_bound_packing_on_long_cycle_lists(n_cycles):
+    g = build_gp(24, 2)
+    cycles = enumerate_alternating_cycles(g, parse_matching(g, GP24_MANY_CYCLES[n_cycles]))
+    assert len(cycles) == n_cycles
+    assert max_disjoint_alternating_cycles(cycles) == node_bound_packing(cycles)
+
+
 def test_gp52_packing_is_one_everywhere(gp52):
     for m in enumerate_perfect_matchings(gp52):
         packing = max_disjoint_alternating_cycles(enumerate_alternating_cycles(gp52, m))
