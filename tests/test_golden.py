@@ -3,8 +3,9 @@
 `golden_cli.json` lists each call's argv, its exit code and the sha256 of
 what it printed to stdout. The calls cover every subcommand and format on
 GP(n,2) for n = 5..12 (single-matching commands on the first, middle and last
-matching), a few k != 2 graphs and verify-paper. A refactor must leave every
-entry unchanged; rewrite the file, with
+matching), `poly --orbits` and dihedral `orbits` on GP(n,2) for n = 13..24,
+a few k != 2 graphs and verify-paper. A refactor must leave every entry
+unchanged; rewrite the file, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -56,6 +57,14 @@ def cases() -> list[list[str]]:
                         ["orbits", *gp, "--engine", e, "--format", f, "--group", grp,
                          "--threads", "1"]
                     )
+    # larger n, where the hitting set settles representatives at different
+    # cycle lengths
+    for n in range(13, 25):
+        gp = ["--n", str(n)]
+        out.append(["poly", *gp, "--orbits", "--format", "json", "--threads", "1"])
+        out.append(
+            ["orbits", *gp, "--group", "dihedral", "--format", "csv", "--threads", "1"]
+        )
     for n, k in ((7, 3), (9, 4), (11, 3)):
         gp = ["--n", str(n), "--k", str(k)]
         out += [["graph", *gp], ["matchings", *gp]]
