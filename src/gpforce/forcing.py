@@ -17,11 +17,14 @@ a built-in correctness oracle.
 The alternating cycles come from a depth-first walk on an explicit stack.
 Each stack entry links to its parent instead of carrying a copy of its path,
 and a cycle's vertex sequence and edge masks are rebuilt from those links
-only when the walk closes it.
+only when the walk closes it. The walk can stop at a cycle length and skip
+the cycles that a given set of matched edges already meets.
 
 The transversal and the maximum disjoint packing, whose size C(G, M) bounds
 f(G, M) below, both read the list enumerate_alternating_cycles returns, so a
-caller that needs both enumerates once and passes the list on.
+caller that needs both enumerates once and passes the list on. Without such
+a list the transversal deepens instead: it solves on the short cycles and
+walks longer ones only while its witness leaves one of them unhit.
 """
 
 from __future__ import annotations
@@ -67,70 +70,119 @@ class ForcingResult:
     witness: int  # a minimum forcing set, as an edge bitmask
 
 
-def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
-    """Every M-alternating cycle of (g, m), each exactly once.
+def _canonical_order(c: AltCycle):
+    return len(c.vertices), tuple(sorted(c.vertices)), c.edges
+
+
+def _alternating_cycle_walker(g: Graph, m: int):
+    """The alternating-cycle walk of (g, m), as a generator function
+    walk(cap=None, avoid=0).
+
+    walk yields, each exactly once and in walk order, the M-alternating
+    cycles of at most `cap` vertices (of any length when cap is None) whose
+    matched edges miss `avoid`, a subset of m.
 
     Depth-first search over alternating paths seeded at each matched edge
     e0 = (a, b) with a < b: the path starts a, b and only visits matched edges
     with index greater than e0, so e0 is the lexicographically smallest
     matched edge of any cycle it closes and the fixed a -> b orientation rules
-    out the reversed traversal, so every cycle is closed exactly once. Sorted
-    by ascending length, then lexicographic vertex set, then edge set.
+    out the reversed traversal, so every cycle is closed exactly once. A cycle
+    through a vertex uses that vertex's matched edge, so the cycles that miss
+    `avoid` are exactly those that miss its vertices.
 
     The walk keeps an explicit stack and tabulates each vertex's steps once
-    per call: a step from v takes an unmatched edge v-w, then w's matched edge
-    to its partner x. A stack entry is (x, vmask, parent, step_edges). vmask
-    holds the path's vertices plus the vertices of every matched edge up to
-    e0, so one test rejects both a revisit and an edge this seed may not use.
-    step_edges is the bitmask of the step's two edges, which names parallel
-    edges apart. Only when a step reaches a again is the cycle rebuilt: its
-    vertex sequence from the parent links, its edges as the union of their
-    step_edges, and its matched edges as those edges that lie in m.
+    per matching: a step from v takes an unmatched edge v-w, then w's matched
+    edge to its partner x. A stack entry is (row, vmask, parent, step_edges).
+    vmask holds the path's vertices, the vertices of `avoid` and those of
+    every matched edge up to e0, so one test rejects a revisit and every
+    vertex this seed may not use. step_edges is the bitmask of the step's two
+    edges, which names parallel edges apart. Only when a step reaches a again
+    is the cycle rebuilt: its vertex sequence from the parent links, its edges
+    as the union of their step_edges, and its matched edges as those edges
+    that lie in m.
+
+    The cap costs the stack entries nothing: `row` is the vertex itself on an
+    uncapped walk, and otherwise a row of a table layered by the number of
+    steps still allowed. Layer j's steps lead to layer j - 1, and layer 0's
+    steps only ever close a cycle. A capped walk seeds b in layer
+    cap // 2 - 1, since a cycle of 2 + 2j vertices takes j steps after a, b.
+    Layers are added as caps first ask for them and kept for later walks.
     """
     if not is_perfect_matching(g, m):
         raise DomainError("not a perfect matching of this graph")
-    partner = [-1] * g.num_vertices
-    matched_edge_at = [-1] * g.num_vertices
+    n = g.num_vertices
+    partner = [-1] * n
+    matched_edge_at = [-1] * n
     for eid in iter_bits(m):
         a, b = g.edges[eid]
         partner[a], partner[b] = b, a
         matched_edge_at[a] = matched_edge_at[b] = eid
-    # steps[v]: (w, x, bits of w and x, bits of the edges v-w and w-x)
-    steps = [[] for _ in range(g.num_vertices)]
+    # steps[row]: (w, next row, bits of w and x, bits of the edges v-w and
+    # w-x); rows 0..n-1 are the uncapped vertices, rows n(j+1).. layer j
+    steps = [[] for _ in range(n)]
     for v, pairs in enumerate(g.incident):
         for eid, w in pairs:
             if not m >> eid & 1:
                 x = partner[w]
                 step_edges = 1 << eid | 1 << matched_edge_at[w]
                 steps[v].append((w, x, 1 << w | 1 << x, step_edges))
-    cycles: list[AltCycle] = []
-    blocked = 0
-    for e0 in iter_bits(m):
-        a, b = g.edges[e0]
-        seed = 1 << a | 1 << b
-        blocked |= seed
-        stack = [(b, blocked, None, 1 << e0)]
-        push, pop = stack.append, stack.pop
-        while stack:
-            node = pop()
-            vmask = node[1]
-            for w, x, wx, step_edges in steps[node[0]]:
-                if not vmask & wx:
-                    push((x, vmask | wx, node, step_edges))
-                elif w == a:  # a is blocked, so a closing step lands here
-                    path = []
-                    edges = step_edges
-                    link = node
-                    while link is not None:
-                        v, _, link, link_edges = link
-                        path += v, partner[v]
-                        edges |= link_edges
-                    path.reverse()
-                    vertex_set = vmask ^ blocked | seed
-                    cycles.append(AltCycle(tuple(path), edges, edges & m, vertex_set))
+    # ends[row]: the row's vertex and its partner, in path order
+    ends = [(v, partner[v]) for v in range(n)]
 
-    cycles.sort(key=lambda c: (len(c.vertices), tuple(sorted(c.vertices)), c.edges))
-    return cycles
+    def walk(cap: int | None = None, avoid: int = 0):
+        if cap is None or cap >= n:
+            start = 0
+        elif cap < 2:
+            return
+        else:
+            start = n * (cap // 2)
+            while len(steps) <= start:  # add the next layer
+                below = len(steps) - n  # the first row of the layer beneath
+                base = steps[:n]
+                if below:
+                    steps.extend([(w, to + below, wx, se) for w, to, wx, se in r]
+                                 for r in base)
+                else:  # -1 meets every vmask, so a layer-0 step only closes
+                    steps.extend([(w, 0, -1, se) for w, _, _, se in r] for r in base)
+                ends.extend(ends[:n])
+        blocked = 0
+        for eid in iter_bits(avoid):
+            p, q = g.edges[eid]
+            blocked |= 1 << p | 1 << q
+        for e0 in iter_bits(m & ~avoid):
+            a, b = g.edges[e0]
+            seed = 1 << a | 1 << b
+            blocked |= seed
+            stack = [(start + b, blocked, None, 1 << e0)]
+            push, pop = stack.append, stack.pop
+            while stack:
+                node = pop()
+                vmask = node[1]
+                for w, to, wx, step_edges in steps[node[0]]:
+                    if not vmask & wx:
+                        push((to, vmask | wx, node, step_edges))
+                    elif w == a:  # a is blocked, so a closing step lands here
+                        path = []
+                        edges = step_edges
+                        link = node
+                        while link is not None:
+                            row, _, link, link_edges = link
+                            path += ends[row]
+                            edges |= link_edges
+                        path.reverse()
+                        vertex_set = vmask ^ blocked | seed
+                        yield AltCycle(tuple(path), edges, edges & m, vertex_set)
+
+    return walk
+
+
+def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
+    """Every M-alternating cycle of (g, m), each exactly once.
+
+    The uncapped walk of _alternating_cycle_walker, sorted by ascending
+    length, then lexicographic vertex set, then edge set.
+    """
+    return sorted(_alternating_cycle_walker(g, m)(), key=_canonical_order)
 
 
 def is_forcing(g: Graph, m: int, s: int, criterion: str = "uniqueness") -> bool:
@@ -138,14 +190,16 @@ def is_forcing(g: Graph, m: int, s: int, criterion: str = "uniqueness") -> bool:
 
     criterion "uniqueness" counts perfect matchings containing s (forcing
     iff exactly one); criterion "cycles" checks that s meets the matched
-    edges of every m-alternating cycle. The two are provably equivalent.
+    edges of every m-alternating cycle, by a walk that skips the vertices of
+    s and stops at the first cycle it closes. The two are provably
+    equivalent.
     """
     if s & ~m:
         raise DomainError("s is not a subset of the matching")
     if criterion == "uniqueness":
         return count_matchings_containing(g, s, limit=2) == 1
     if criterion == "cycles":
-        return all(c.matched_edges & s for c in enumerate_alternating_cycles(g, m))
+        return next(_alternating_cycle_walker(g, m)(avoid=s), None) is None
     raise DomainError(f"unknown criterion {criterion!r}")
 
 
@@ -160,20 +214,11 @@ def _greedy_disjoint_count(masks) -> int:
     return count
 
 
-def forcing_number_by_hitting_set(
-    g: Graph, m: int, cycles: list[AltCycle] | None = None
-) -> ForcingResult:
-    """f(g, m) as a minimum hitting set over alternating-cycle matched edges.
-
-    `cycles` is enumerate_alternating_cycles(g, m), enumerated here when not
-    given. Exact branch and bound: branch on the first uncovered cycle's
-    matched edges in ascending index order; lower bound is the greedy count
-    of pairwise disjoint uncovered cycles. The first optimum found under this
-    deterministic order is the witness.
-    """
-    if cycles is None:
-        cycles = enumerate_alternating_cycles(g, m)
-    cycle_masks = [c.matched_edges for c in cycles]
+def _min_transversal(m: int, cycle_masks: list[int]) -> ForcingResult:
+    """The first minimum subset of m that meets every mask, by branch and
+    bound: branch on the first uncovered mask's edges in ascending index
+    order; the lower bound is the greedy count of pairwise disjoint
+    uncovered masks."""
     if not cycle_masks:
         return ForcingResult(0, 0)
     best_size = m.bit_count()
@@ -194,6 +239,54 @@ def forcing_number_by_hitting_set(
 
     descend(0, 0, cycle_masks)
     return ForcingResult(best_size, best_mask)
+
+
+def _shortest_unhit_length(walk, h: int, cap: int) -> int | None:
+    """The vertex count of the shortest alternating cycle whose matched edges
+    miss h, or None if h meets them all; h meets every cycle of at most
+    `cap` vertices. One uncapped walk stops at the first such cycle, then
+    capped walks look for a shorter one, shortest cap first."""
+    first = next(walk(avoid=h), None)
+    if first is None:
+        return None
+    longer = len(first.vertices)
+    shorter = (c for c in range(cap + 2, longer, 2) if next(walk(c, h), None))
+    return next(shorter, longer)
+
+
+def forcing_number_by_hitting_set(
+    g: Graph, m: int, cycles: list[AltCycle] | None = None
+) -> ForcingResult:
+    """f(g, m) as a minimum hitting set over alternating-cycle matched edges.
+
+    `cycles` is enumerate_alternating_cycles(g, m). The search is exact
+    branch and bound over their matched edges in that canonical order, and
+    its first optimum is the witness.
+
+    When `cycles` is not given, the cycles are not all walked. Starting from
+    the empty family, the search runs on the canonical prefix of cycles of at
+    most `cap` vertices, and a walk that skips the witness's vertices looks
+    for a cycle it leaves unhit; if there is one, cap rises to the length of
+    the shortest such cycle and the search runs again. Most matchings are
+    settled by their short cycles, so the long ones are never walked.
+
+    The answer, witness included, is the one the full list gives. The sort
+    key starts with length, so the prefix P is a prefix of the full list F.
+    The P-optimal witness H* meets every cycle, so f_P <= f <= |H*| = f_P.
+    On a node both searches reach they branch alike, and greedy over F's
+    uncovered masks counts at least as many as over P's, so F prunes no less;
+    any F-leaf of size f is a P-leaf of size f no earlier in DFS order. So
+    the full search's first optimum is H* too.
+    """
+    if cycles is not None:
+        return _min_transversal(m, [c.matched_edges for c in cycles])
+    walk = _alternating_cycle_walker(g, m)
+    result = ForcingResult(0, 0)
+    cap = 0
+    while (cap := _shortest_unhit_length(walk, result.witness, cap)) is not None:
+        prefix = sorted(walk(cap), key=_canonical_order)
+        result = _min_transversal(m, [c.matched_edges for c in prefix])
+    return result
 
 
 def _perfect_matchings(g: Graph) -> list[int]:

@@ -13,6 +13,7 @@ from conftest import (
 )
 from gpforce.forcing import (
     AltCycle,
+    _alternating_cycle_walker,
     compute_forcing,
     enumerate_alternating_cycles,
     forcing_number_by_hitting_set,
@@ -29,6 +30,7 @@ from gpforce.matchings import (
     iter_bits,
     parse_matching,
 )
+from gpforce.polynomial import matching_orbits
 
 # The five m1-alternating cycles of GP(5,2), straight from the published
 # worked example, as (matched edge indices, vertex ids). Vertex v_i is 5+i.
@@ -128,14 +130,19 @@ def recursive_alternating_cycles(g, m):
     return cycles
 
 
+def small_graphs():
+    graphs = [build_gp(n, 2) for n in range(5, 15)]
+    graphs += [build_gp(7, 3), build_gp(9, 4), build_gp(11, 3)]
+    # a 4-cycle with edge 1-2 doubled: two of its cycles share one vertex
+    # sequence, and the doubled pair is a cycle of two vertices
+    graphs.append(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 2)]))
+    return graphs
+
+
 def test_alternating_cycles_match_recursive_walker():
     # full AltCycle equality: vertex sequence and its orientation, edges,
     # matched edges, vertex set, and the order of the list
-    graphs = [build_gp(n, 2) for n in range(5, 15)]
-    graphs += [build_gp(7, 3), build_gp(9, 4), build_gp(11, 3)]
-    # a 4-cycle with edge 1-2 doubled: two of its cycles share one vertex sequence
-    graphs.append(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 2)]))
-    for g in graphs:
+    for g in small_graphs():
         for m in enumerate_perfect_matchings(g):
             reference = recursive_alternating_cycles(g, m)
             assert enumerate_alternating_cycles(g, m) == reference, (g, m)
@@ -165,6 +172,50 @@ def test_cycle_count_equals_single_cycle_partners(n):
         partners = brute_single_cycle_partners(g, m, ms)
         assert len(cycles) == len(partners)
         assert {m ^ c.edges for c in cycles} == set(partners)
+
+
+def full_order(c):
+    return len(c.vertices), tuple(sorted(c.vertices)), c.edges
+
+
+@pytest.mark.parametrize("g", small_graphs(), ids=repr)
+def test_capped_walker_matches_filtered_full_list(g):
+    # every cap, with nothing avoided, with the witness (which leaves no
+    # cycle) and with each of its edges alone (which leaves some)
+    for m in enumerate_perfect_matchings(g):
+        full = enumerate_alternating_cycles(g, m)
+        walk = _alternating_cycle_walker(g, m)
+        witness = forcing_number_by_hitting_set(g, m, full).witness
+        for avoid in (0, witness, *(1 << e for e in iter_bits(witness))):
+            for cap in range(0, g.num_vertices + 3):
+                expected = [
+                    c
+                    for c in full
+                    if len(c.vertices) <= cap and not c.matched_edges & avoid
+                ]
+                got = sorted(walk(cap, avoid), key=full_order)
+                assert got == expected, (g, m, avoid, cap)
+            uncapped = [c for c in full if not c.matched_edges & avoid]
+            assert sorted(walk(avoid=avoid), key=full_order) == uncapped
+
+
+def test_deepening_matches_full_cycle_list():
+    # forcing number and witness both: the deepening must pick the witness
+    # the search over every cycle picks
+    for g in small_graphs():
+        for m in enumerate_perfect_matchings(g):
+            full = forcing_number_by_hitting_set(g, m, enumerate_alternating_cycles(g, m))
+            assert forcing_number_by_hitting_set(g, m) == full, (g, m)
+
+
+@pytest.mark.parametrize("n", range(15, 21))
+def test_deepening_matches_full_cycle_list_on_orbit_representatives(n):
+    g = build_gp(n, 2)
+    ms = enumerate_perfect_matchings(g)
+    for orbit in matching_orbits(g, ms, [0] * len(ms), group="dihedral"):
+        m = orbit.representative
+        full = forcing_number_by_hitting_set(g, m, enumerate_alternating_cycles(g, m))
+        assert forcing_number_by_hitting_set(g, m) == full, m
 
 
 def test_gp52_forcing_numbers_published(gp52, gp52_matchings):
