@@ -9,10 +9,11 @@ argument parser is built once per process, on the first main call.
 
 poly, orbits and verify-paper all run one pipeline, polynomial.analyze:
 enumerate the perfect matchings, compute the forcing number of the smallest
-member of each dihedral orbit, copy it to the other members, tally the
+member of each dihedral orbit, hand it to the other members, tally the
 forcing polynomial. The workers share the orbit representatives, and
 --engine both compares the two engines on each representative. Orbit tables
-partition the matchings again, under either group, from the copied results.
+partition the matchings again, under either group, from those forcing
+numbers.
 The JSON report of a polynomial (n, k, coefficients, statistics, orbit rows)
 is rendered by polynomial.report_json alone.
 
@@ -306,10 +307,8 @@ def cmd_packing(args, out) -> int:
 def cmd_poly(args, out) -> int:
     g = build_gp(args.n, args.k)
     engine = _ENGINES[args.engine]
-    matchings, results, poly = analyze(g, engine, _jobs(args))
-    orbits = (
-        matching_orbits(g, matchings, results, group=args.group) if args.orbits else None
-    )
+    matchings, fns, poly = analyze(g, engine, _jobs(args))
+    orbits = matching_orbits(g, matchings, fns, group=args.group) if args.orbits else None
     if args.fmt == "json":
         out.write(_dumps({**report_json(g, poly, orbits), "engine": engine}))
     else:
@@ -330,8 +329,8 @@ def cmd_poly(args, out) -> int:
 
 def cmd_orbits(args, out) -> int:
     g = build_gp(args.n, args.k)
-    matchings, results, _ = analyze(g, _ENGINES[args.engine], _jobs(args))
-    table = OrbitTable(g, tuple(matching_orbits(g, matchings, results, group=args.group)))
+    matchings, fns, _ = analyze(g, _ENGINES[args.engine], _jobs(args))
+    table = OrbitTable(g, tuple(matching_orbits(g, matchings, fns, group=args.group)))
     if args.fmt == "json":
         out.write(_dumps(table.to_json_dict()))
     elif args.fmt == "csv":

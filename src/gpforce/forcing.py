@@ -407,8 +407,9 @@ def forcing_numbers_map(
 ) -> list[ForcingResult]:
     """Per-matching forcing results, in input order.
 
-    jobs > 1 fans out over worker processes; results are collected back in
-    input order, so the output is identical for every worker count.
+    jobs > 1 fans out over worker processes, never more than there are
+    matchings; results are collected back in input order, so the output is
+    identical for every worker count.
     """
     matchings = list(matchings)
     if (
@@ -418,6 +419,7 @@ def forcing_numbers_map(
     ):
         return [compute_forcing(g, m, engine) for m in matchings]
     ctx = multiprocessing.get_context("fork")
+    jobs = min(jobs, len(matchings))
     with ProcessPoolExecutor(
         max_workers=jobs, mp_context=ctx, initializer=_pool_init, initargs=(g, engine)
     ) as pool:

@@ -68,10 +68,10 @@ class Graph:
         if self.gp_params is not None:
             n = self.gp_params[0]
             cls, idx = name[:1], name[1:]
-            if cls in ("u", "v") and idx.isdigit() and int(idx) < n:
+            if cls in ("u", "v") and idx.isascii() and idx.isdigit() and int(idx) < n:
                 return int(idx) if cls == "u" else n + int(idx)
             raise DomainError(f"unknown vertex name {name!r}")
-        if name.isdigit() and int(name) < self.num_vertices:
+        if name.isascii() and name.isdigit() and int(name) < self.num_vertices:
             return int(name)
         raise DomainError(f"unknown vertex name {name!r}")
 

@@ -8,8 +8,9 @@ number, and the support the forcing spectrum.
 Orbits partition the matchings of a GP graph under the cyclic rotations
 u_i -> u_{i+j}, v_i -> v_{i+j} (optionally the full dihedral group); every
 member of an orbit shares one forcing number because the maps are graph
-automorphisms. So analyze computes one forcing number per dihedral orbit
-and copies it, with a witness mapped to fit, to the other members.
+automorphisms. So analyze computes one forcing number per dihedral orbit and
+hands it to every member; a graph without gp_params has only the identity
+map, and each of its matchings is an orbit of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forcing import ForcingResult, forcing_numbers_map
+from .forcing import forcing_numbers_map
 from .graphs import DomainError, Graph, symmetry_edge_permutations
 from .matchings import (
     edge_indices,
@@ -96,66 +97,54 @@ def poly_stats(p: ForcingPolynomial) -> PolyStats:
     )
 
 
-def _orbit_maps(matchings: list[int], perms):
+def _orbits(matchings: list[int], perms):
     """Partition the ascending `matchings` into orbits of the group of edge
-    permutations `perms`, whose first member is the identity.
+    permutations `perms`.
 
-    Yields one dict per orbit, in ascending order of its smallest member,
-    mapping each member to the first permutation that carries the smallest
-    member onto it; the smallest member is the dict's first key. Raises
-    OrbitInconsistency if an image falls outside `matchings`.
+    Yields each orbit as the ascending tuple of its members, in ascending
+    order of its smallest member. Raises OrbitInconsistency if an image falls
+    outside `matchings`.
     """
     unseen = set(matchings)
     for m in matchings:
         if m not in unseen:
             continue
-        images: dict[int, tuple[int, ...]] = {}
-        for p in perms:
-            images.setdefault(permute_edge_set(m, p), p)
-        for im in images:
-            if im not in unseen:
-                raise OrbitInconsistency(
-                    f"orbit image {im:#x} of {m:#x} is not a known perfect matching"
-                )
-        unseen.difference_update(images)
-        yield images
+        orbit = {permute_edge_set(m, p) for p in perms}
+        stray = orbit - unseen
+        if stray:
+            raise OrbitInconsistency(
+                f"orbit image {min(stray):#x} of {m:#x} is not a known perfect matching"
+            )
+        unseen -= orbit
+        yield tuple(sorted(orbit))
 
 
 def analyze(
     g: Graph, engine: str = "hitting_set", jobs: int = 1
-) -> tuple[list[int], list[ForcingResult], ForcingPolynomial]:
+) -> tuple[list[int], list[int], ForcingPolynomial]:
     """Enumerate g's perfect matchings, compute their forcing numbers with the
     chosen engine ("both" cross-checks) and tally them into the polynomial.
 
-    On a GP graph the engine runs once per dihedral orbit, on its smallest
-    member, and `jobs` workers share those representatives. Every other
-    member gets the representative's forcing number, and as its witness the
-    representative's witness carried by an automorphism that takes the
-    representative to the member: a minimum forcing set of the member, though
-    not always the one the engine would pick for it. A graph without
-    gp_params has no symmetry group here and gets one engine call per
-    matching.
+    The engine runs once per dihedral orbit, on its smallest member, and
+    `jobs` workers share those representatives; every other member gets the
+    representative's forcing number. A graph without gp_params gets the
+    identity group, so each of its matchings is its own representative.
 
-    Returns the sorted matchings, their aligned results and the polynomial.
+    Returns the sorted matchings, their aligned forcing numbers and the
+    polynomial.
     """
     matchings = enumerate_perfect_matchings(g)
-    if g.gp_params is None:
-        results = forcing_numbers_map(g, matchings, engine=engine, jobs=jobs)
-    else:
-        orbits = list(_orbit_maps(matchings, symmetry_edge_permutations(g, "dihedral")))
-        reps = [next(iter(images)) for images in orbits]
-        rep_results = forcing_numbers_map(g, reps, engine=engine, jobs=jobs)
-        copied = {}
-        for images, r in zip(orbits, rep_results):
-            for member, p in images.items():
-                copied[member] = ForcingResult(
-                    r.forcing_number, permute_edge_set(r.witness, p)
-                )
-        results = [copied[m] for m in matchings]
+    identity = [tuple(range(g.num_edges))]
+    perms = symmetry_edge_permutations(g, "dihedral") if g.gp_params else identity
+    orbits = list(_orbits(matchings, perms))
+    results = forcing_numbers_map(g, [o[0] for o in orbits], engine=engine, jobs=jobs)
+    fn_of: dict[int, int] = {}
     coeffs: dict[int, int] = {}
-    for r in results:
-        coeffs[r.forcing_number] = coeffs.get(r.forcing_number, 0) + 1
-    return matchings, results, ForcingPolynomial(coeffs)
+    for orbit, r in zip(orbits, results):
+        f = r.forcing_number
+        fn_of.update(dict.fromkeys(orbit, f))
+        coeffs[f] = coeffs.get(f, 0) + len(orbit)
+    return matchings, [fn_of[m] for m in matchings], ForcingPolynomial(coeffs)
 
 
 def report_json(g: Graph, poly: ForcingPolynomial, orbits=None) -> dict:
@@ -198,26 +187,23 @@ class Orbit:
 def matching_orbits(
     g: Graph,
     matchings: list[int],
-    results,
+    forcing_numbers: list[int],
     group: str = "rotation",
 ) -> list[Orbit]:
     """Partition matchings into orbits of the chosen symmetry group.
 
-    `results` gives each matching's forcing number (ForcingResult or int),
-    aligned with `matchings`. Orbits come back sorted by representative:
-    the smallest matching not yet seen is the smallest of its orbit.
-    Raises OrbitInconsistency if an orbit's members disagree on the forcing
-    number or fall outside the matching list, both of which would mean a bug
+    `forcing_numbers` gives each matching's forcing number, aligned with
+    `matchings`. Orbits come back sorted by representative: the smallest
+    matching not yet seen is the smallest of its orbit. Raises
+    OrbitInconsistency if an orbit's members disagree on the forcing number
+    or fall outside the matching list, both of which would mean a bug
     somewhere upstream.
     """
     perms = symmetry_edge_permutations(g, group)
-    fn_of = {}
-    for m, r in zip(matchings, results):
-        fn_of[m] = r.forcing_number if isinstance(r, ForcingResult) else int(r)
+    fn_of = dict(zip(matchings, forcing_numbers))
     orbits = []
-    for images in _orbit_maps(sorted(fn_of), perms):
-        members = sorted(images)
-        fns = {fn_of[im] for im in members}
+    for members in _orbits(sorted(fn_of), perms):
+        fns = {fn_of[m] for m in members}
         if len(fns) != 1:
             raise OrbitInconsistency(
                 f"orbit of {members[0]:#x} carries forcing numbers {sorted(fns)}"
@@ -227,7 +213,7 @@ def matching_orbits(
                 representative=members[0],
                 size=len(members),
                 forcing_number=fns.pop(),
-                members=tuple(members),
+                members=members,
             )
         )
     return orbits

@@ -121,8 +121,8 @@ def check_table(
     mismatch is visible instead of silently chosen.
     """
     g = build_gp(n, 2)
-    matchings, results, poly = analyze(g, engine, jobs)
-    orbits = matching_orbits(g, matchings, results, group="rotation")
+    matchings, fns, poly = analyze(g, engine, jobs)
+    orbits = matching_orbits(g, matchings, fns, group="rotation")
     rows = tuple((o.size, o.forcing_number) for o in orbits)
     check = TableCheck(
         n=n,
@@ -132,7 +132,7 @@ def check_table(
         computed_rows=rows,
     )
     if not check.rows_ok:
-        dihedral = matching_orbits(g, matchings, results, group="dihedral")
+        dihedral = matching_orbits(g, matchings, fns, group="dihedral")
         check.dihedral_rows = tuple((o.size, o.forcing_number) for o in dihedral)
     return check
 

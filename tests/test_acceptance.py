@@ -169,7 +169,7 @@ def test_criterion_7_structural_properties(published_checks, dual_engine_sweep):
             assert len(max_disjoint_alternating_cycles(cycles)) <= rh.forcing_number
     # orbit sizes divide n; PMC sums reproduce the polynomial per exponent
     for n, (g, ms, hit, _) in sweep.items():
-        orbits = matching_orbits(g, ms, hit, group="rotation")
+        orbits = matching_orbits(g, ms, [r.forcing_number for r in hit], group="rotation")
         per_fn = Counter()
         for o in orbits:
             assert n % o.size == 0

@@ -74,6 +74,17 @@ def test_vertex_names_and_parsing(gp52):
         gp52.parse_vertex("u7")
 
 
+@pytest.mark.parametrize("name", ["u\u00b2", "v\u0663"])
+def test_vertex_names_take_ascii_digits_only(gp52, name):
+    # "\u00b2" (superscript two) passes str.isdigit but not int, and "\u0663"
+    # (Arabic-Indic three) passes both; neither names a vertex
+    with pytest.raises(DomainError):
+        gp52.parse_vertex(name)
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(DomainError):
+        g.parse_vertex(name[1:])
+
+
 def test_edge_names(gp52):
     assert gp52.edge_name(0) == "u0-u2"
     assert gp52.edge_name(9) == "u4-v4"

@@ -7,14 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import cycle_graph
 from gpforce.cli import main as cli_main
 from gpforce.forcing import EngineMismatch, ForcingResult, forcing_numbers_map
-from gpforce.graphs import DomainError, build_gp
-from gpforce.matchings import (
-    count_matchings_containing,
-    enumerate_perfect_matchings,
-    permute_edge_set,
-)
+from gpforce.graphs import DomainError, Graph, build_gp
+from gpforce.matchings import enumerate_perfect_matchings, permute_edge_set
 from gpforce.polynomial import (
     ForcingPolynomial,
     OrbitInconsistency,
@@ -160,8 +157,7 @@ def test_orbits_require_gp_graph(k2):
 
 
 def test_orbit_inconsistency_detected(gp52):
-    matchings, results, _ = analyze(gp52)
-    fns = [r.forcing_number for r in results]
+    matchings, fns, _ = analyze(gp52)
     fns[2] += 1  # corrupt one member of the big orbit
     with pytest.raises(OrbitInconsistency):
         matching_orbits(gp52, matchings, fns, group="rotation")
@@ -219,17 +215,78 @@ def test_forcing_numbers_map_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_forcing_numbers_map_starts_no_more_workers_than_matchings(monkeypatch):
+    import gpforce.forcing as forcing_mod
+
+    started = []
+
+    class InlineExecutor:
+        # stands in for the process pool: records the worker count it is
+        # asked for, then runs the initializer and the tasks in this process
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(forcing_mod, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(forcing_mod, "_POOL_GRAPH", None)
+    # GP(12,2) has 8 dihedral orbit representatives
+    assert analyze(build_gp(12, 2), jobs=64)[2].coeffs == {3: 51, 2: 3}
+    g = build_gp(9, 2)
+    ms = enumerate_perfect_matchings(g)
+    assert forcing_numbers_map(g, ms, jobs=3) == forcing_numbers_map(g, ms)
+    assert started == [8, 3]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(8),
+        # the 4-cycle with edge 1-2 doubled from test_forcing.small_graphs
+        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 2)]),
+    ],
+    ids=repr,
+)
+def test_analyze_without_gp_params_runs_every_matching(g, monkeypatch):
+    # the identity group makes each matching the representative of its own
+    # orbit, so analyze agrees with one engine call per matching
+    import gpforce.polynomial as polynomial_mod
+
+    ms = enumerate_perfect_matchings(g)
+    reference = [r.forcing_number for r in forcing_numbers_map(g, ms)]
+    reps = []
+
+    def recorded(g, matchings, **kwargs):
+        reps.extend(matchings)
+        return forcing_numbers_map(g, matchings, **kwargs)
+
+    monkeypatch.setattr(polynomial_mod, "forcing_numbers_map", recorded)
+    matchings, fns, poly = analyze(g)
+    assert len(ms) > 1 and reps == matchings == ms
+    assert fns == reference
+    assert poly.coeffs == Counter(reference)
+
+
 @pytest.fixture(scope="module")
 def per_matching():
-    """(g, matchings, results) with one engine call per matching: the
-    reference for the results analyze copies across dihedral orbits."""
+    """(g, matchings, forcing numbers) with one engine call per matching: the
+    reference for the forcing numbers analyze hands across dihedral orbits."""
     cache = {}
 
     def get(n, k):
         if (n, k) not in cache:
             g = build_gp(n, k)
             ms = enumerate_perfect_matchings(g)
-            cache[n, k] = (g, ms, forcing_numbers_map(g, ms))
+            fns = [r.forcing_number for r in forcing_numbers_map(g, ms)]
+            cache[n, k] = (g, ms, fns)
         return cache[n, k]
 
     return get
@@ -240,14 +297,10 @@ def per_matching():
 )
 def test_analyze_copies_agree_with_per_matching_results(n, k, per_matching):
     g, ms, reference = per_matching(n, k)
-    matchings, results, poly = analyze(g)
+    matchings, fns, poly = analyze(g)
     assert matchings == ms
-    assert [r.forcing_number for r in results] == [r.forcing_number for r in reference]
-    assert poly.coeffs == Counter(r.forcing_number for r in reference)
-    for m, r in zip(matchings, results):
-        w = r.witness
-        assert w & ~m == 0 and w.bit_count() == r.forcing_number
-        assert count_matchings_containing(g, w, limit=2) == 1
+    assert fns == reference
+    assert poly.coeffs == Counter(reference)
 
 
 def _cli(argv) -> str:
@@ -260,7 +313,7 @@ def _cli(argv) -> str:
 def test_orbit_reports_agree_with_per_matching_results(n, per_matching):
     # extends the golden file's byte-for-byte guard (n <= 12) to larger n
     g, ms, reference = per_matching(n, 2)
-    poly = ForcingPolynomial(dict(Counter(r.forcing_number for r in reference)))
+    poly = ForcingPolynomial(dict(Counter(reference)))
     rotation = matching_orbits(g, ms, reference, group="rotation")
     report = {**report_json(g, poly, rotation), "engine": "hitting_set"}
     expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
