@@ -1,19 +1,21 @@
 """Command-line interface.
 
 Subcommands: graph, matchings, force, cycles, packing, poly, orbits,
-verify-paper. The last three fan out over worker processes; their worker
-count comes from --threads, then the FORCE_THREADS environment variable,
-then the cores this process may use. Outputs are assembled after a
-deterministic sort, so they are byte-identical for any worker count. The
-argument parser is built once per process, on the first main call.
+verify-paper. The last three share their work out to worker processes:
+--threads N means N computing processes, this one included, and the count
+comes from --threads, then the FORCE_THREADS environment variable, then the
+cores this process may use. poly and orbits share out the orbit
+representatives of one graph; verify-paper hands out whole tables, each
+computed in one process. Outputs are assembled after a deterministic sort,
+so they are byte-identical for any worker count. The argument parser is
+built once per process, on the first main call.
 
 poly, orbits and verify-paper all run one pipeline, polynomial.analyze:
 enumerate the perfect matchings, compute the forcing number of the smallest
 member of each dihedral orbit, hand it to the other members, tally the
-forcing polynomial. The workers share the orbit representatives, and
---engine both compares the two engines on each representative. Orbit tables
-partition the matchings again, under either group, from those forcing
-numbers.
+forcing polynomial. --engine both compares the two engines on each
+representative. Orbit tables partition the matchings again, under either
+group, from those forcing numbers.
 The JSON report of a polynomial (n, k, coefficients, statistics, orbit rows)
 is rendered by polynomial.report_json alone.
 
@@ -102,7 +104,8 @@ def _add_common(sub, engine=True, fmt=("table", "json"), group=False):
         "--threads",
         type=_worker_count,
         default=None,
-        help="worker processes (default: FORCE_THREADS or all cores)",
+        help="computing processes, this one included "
+        "(default: FORCE_THREADS or all cores)",
     )
 
 

@@ -25,12 +25,21 @@ f(G, M) below, both read the list enumerate_alternating_cycles returns, so a
 caller that needs both enumerates once and passes the list on. Without such
 a list the transversal deepens instead: it solves on the short cycles and
 walks longer ones only while its witness leaves one of them unhit.
+
+forcing_numbers_map runs one engine over many matchings, in one process or
+fanned out by _fan_out: jobs - 1 forked children each compute a strided
+share and send it back through a pipe while the calling process computes
+the first share itself. The results, and the exception raised if any, are
+those of the serial loop. verify_published_tables fans out the same way,
+by whole tables.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -388,18 +397,103 @@ def compute_forcing(
     raise DomainError(f"unknown engine {engine!r}")
 
 
-_POOL_GRAPH: Graph | None = None
-_POOL_ENGINE = "hitting_set"
+class _RemoteTraceback(Exception):
+    """A worker's traceback, set as the cause of the exception it raised."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
-def _pool_init(g: Graph, engine: str):
-    global _POOL_GRAPH, _POOL_ENGINE
-    _POOL_GRAPH = g
-    _POOL_ENGINE = engine
+def _run_share(fn, items: list, start: int, step: int):
+    """fn over items[start::step], stopping at the first item that raises.
+
+    Returns the results and None, or the results so far and (index in
+    items, exception) of the item that raised.
+    """
+    results = []
+    for i in range(start, len(items), step):
+        try:
+            results.append(fn(items[i]))
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
 
 
-def _pool_task(m: int) -> ForcingResult:
-    return compute_forcing(_POOL_GRAPH, m, _POOL_ENGINE)
+def _child_share(fn, items: list, start: int, step: int, fd: int):
+    """Run one share in a forked child, write it pickled to fd and leave by
+    os._exit, so the child never flushes the parent's buffered output or
+    runs its exit handlers. Exit status 0 means the whole share was written.
+    """
+    status = 1
+    try:
+        results, failure = _run_share(fn, items, start, step)
+        text = None
+        if failure is not None:
+            text = "".join(traceback.format_exception(failure[1]))
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps((results, failure, text)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fan_out(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], computed by up to `jobs` processes.
+
+    With jobs > 1 (never more than there are items) and os.fork available,
+    jobs - 1 forked children compute items[p::jobs], p = 1..jobs-1, and each
+    sends its results back pickled through a pipe of its own, while this
+    process computes items[0::jobs]; it then reads every pipe to EOF and
+    reaps every child. fn and items reach the children by the fork, so only
+    the results are pickled.
+
+    The exception raised is the serial loop's: that of the first item in
+    input order that raises, with a child's traceback as its cause. A child
+    that ends without sending its whole share raises RuntimeError. No child
+    outlives the call: if this process's own share is interrupted, the
+    children are killed, and every one is reaped.
+    """
+    items = list(items)
+    jobs = min(jobs, len(items))
+    if jobs <= 1 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    pids, pipes, received, statuses = [], [], [], []
+    try:
+        for p in range(1, jobs):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _child_share(fn, items, p, jobs, w)  # never returns
+            os.close(w)
+            pids.append(pid)
+            pipes.append(open(r, "rb"))
+        own = _run_share(fn, items, 0, jobs)
+        received = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if len(received) < len(pids):
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    shares = [(*own, None)]
+    for pid, data, status in zip(pids, received, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"killed by signal {-code}" if code < 0 else f"exited with {code}"
+            raise RuntimeError(f"worker process {pid} {how} before sending its results")
+        shares.append(pickle.loads(data))
+    failures = [(*failure, text) for _, failure, text in shares if failure is not None]
+    if failures:
+        _, exc, text = min(failures, key=lambda f: f[0])
+        if text is not None:
+            exc.__cause__ = _RemoteTraceback(text)
+        raise exc
+    results = [None] * len(items)
+    for p, (share, _, _) in enumerate(shares):
+        results[p::jobs] = share
+    return results
 
 
 def forcing_numbers_map(
@@ -407,20 +501,11 @@ def forcing_numbers_map(
 ) -> list[ForcingResult]:
     """Per-matching forcing results, in input order.
 
-    jobs > 1 fans out over worker processes, never more than there are
-    matchings; results are collected back in input order, so the output is
-    identical for every worker count.
+    jobs > 1 shares the matchings out to that many processes, this one
+    included, never more than there are matchings, and only when there are
+    at least 8; the results are the serial loop's for every worker count.
     """
     matchings = list(matchings)
-    if (
-        jobs <= 1
-        or len(matchings) < 8
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        return [compute_forcing(g, m, engine) for m in matchings]
-    ctx = multiprocessing.get_context("fork")
-    jobs = min(jobs, len(matchings))
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=ctx, initializer=_pool_init, initargs=(g, engine)
-    ) as pool:
-        return list(pool.map(_pool_task, matchings, chunksize=1))
+    if len(matchings) < 8:
+        jobs = 1
+    return _fan_out(lambda m: compute_forcing(g, m, engine), matchings, jobs)

@@ -126,8 +126,8 @@ def analyze(
     chosen engine ("both" cross-checks) and tally them into the polynomial.
 
     The engine runs once per dihedral orbit, on its smallest member, and
-    `jobs` workers share those representatives; every other member gets the
-    representative's forcing number. A graph without gp_params gets the
+    `jobs` processes, this one included, share those representatives; every
+    other member gets the representative's forcing number. A graph without gp_params gets the
     identity group, so each of its matchings is its own representative.
 
     Returns the sorted matchings, their aligned forcing numbers and the

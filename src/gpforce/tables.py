@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .forcing import _fan_out
 from .graphs import build_gp
 from .polynomial import ForcingPolynomial, analyze, matching_orbits, polynomial_text
 
@@ -140,7 +141,11 @@ def check_table(
 def verify_published_tables(
     ns=None, engine: str = "hitting_set", jobs: int = 1
 ) -> list[TableCheck]:
-    """Re-derive every requested table, by default all published ones."""
+    """Re-derive every requested table, by default all published ones.
+
+    jobs > 1 hands whole tables out to that many processes, this one
+    included; each table is computed in one process.
+    """
     if ns is None:
         ns = PUBLISHED_RANGE
-    return [check_table(n, engine, jobs) for n in ns]
+    return _fan_out(lambda n: check_table(n, engine, 1), ns, jobs)

@@ -6,6 +6,7 @@ by testing subset containment against that full matching list. They are slow
 and only used at small sizes, which is exactly the point.
 """
 
+import os
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,12 @@ def gp52_matchings(gp52):
         "m6": "u0-v0,u1-v1,u2-v2,u3-v3,u4-v4",
     }
     return {name: parse_matching(gp52, text) for name, text in texts.items()}
+
+
+def assert_no_children():
+    """Every process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def cycle_graph(n: int) -> Graph:

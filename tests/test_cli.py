@@ -3,11 +3,13 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
 
+from conftest import assert_no_children
 from gpforce.cli import (
     EXIT_DOMAIN,
     EXIT_INTERNAL,
@@ -274,6 +276,25 @@ def test_thread_count_does_not_change_output():
     assert one == two
 
 
+@pytest.mark.parametrize(
+    "argv", [("verify-paper",), ("poly", "--n", "16", "--orbits")], ids=" ".join
+)
+def test_worker_count_does_not_change_piped_stdout(argv):
+    # stdout is a pipe here, so it is block-buffered: a child that left by
+    # any path but os._exit could flush the buffer it inherited or print
+    # the report itself
+    def stdout(threads):
+        done = subprocess.run(
+            [sys.executable, "-m", "gpforce", *argv, "--threads", threads],
+            capture_output=True,
+            check=True,
+        )
+        return done.stdout
+
+    one = stdout("1")
+    assert stdout("2") == one and stdout("3") == one
+
+
 def test_verify_paper_tampered_table_exits_1(monkeypatch):
     import gpforce.tables as tables_mod
 
@@ -301,6 +322,43 @@ def test_engine_mismatch_exits_3(monkeypatch, capsys):
     code, _ = run_cli("poly", "--n", "5", "--engine", "both", "--threads", "1")
     assert code == EXIT_INTERNAL
     assert "consistency" in capsys.readouterr().err
+    # raised in worker processes, the mismatch still exits 3
+    for argv in (
+        ("poly", "--n", "9", "--engine", "both", "--threads", "3"),
+        ("verify-paper", "--max", "8", "--engine", "both", "--threads", "3"),
+    ):
+        assert run_cli(*argv)[0] == EXIT_INTERNAL
+        assert "consistency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fault, code, message",
+    [
+        ("raise", EXIT_DOMAIN, "error: injected domain error"),
+        ("kill", EXIT_UNEXPECTED, "killed by signal 9 before sending its results"),
+    ],
+    ids=["raise", "kill"],
+)
+def test_worker_failures_keep_their_exit_codes(fault, code, message, monkeypatch, capsys):
+    # at --threads 3, verify-paper --min 5 --max 8 hands n = 6 to a child
+    import gpforce.tables as tables_mod
+    from gpforce.graphs import DomainError
+
+    caller = os.getpid()
+    real = tables_mod.check_table
+
+    def faulty(n, engine, jobs):
+        if n == 6 and os.getpid() != caller:
+            if fault == "raise":
+                raise DomainError("injected domain error")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(n, engine, jobs)
+
+    monkeypatch.setattr(tables_mod, "check_table", faulty)
+    argv = ("verify-paper", "--min", "5", "--max", "8", "--threads", "3")
+    assert run_cli(*argv)[0] == code
+    assert message in capsys.readouterr().err
+    assert_no_children()
 
 
 def test_console_entry_point():

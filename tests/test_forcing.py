@@ -1,10 +1,17 @@
-"""Both forcing engines, alternating-cycle enumeration, and cycle packings."""
+"""Both forcing engines, alternating-cycle enumeration, cycle packings, and
+the fork-and-pipe fan-out that shares items out to worker processes."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
 from itertools import combinations
 
 import pytest
 
 from conftest import (
+    assert_no_children,
     brute_force_matchings,
     brute_forcing_number,
     brute_max_packing,
@@ -14,6 +21,7 @@ from conftest import (
 from gpforce.forcing import (
     AltCycle,
     _alternating_cycle_walker,
+    _fan_out,
     compute_forcing,
     enumerate_alternating_cycles,
     forcing_number_by_hitting_set,
@@ -430,3 +438,87 @@ def test_compute_forcing_dispatch(gp52, gp52_matchings):
     assert both == hit and both.forcing_number == 2
     with pytest.raises(DomainError):
         compute_forcing(gp52, m, "oracle")
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test with TimeoutError instead of hanging past 60 s; the
+    error interrupts a blocked read, so the fan-out still reaps its children."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the fan-out did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 20])
+def test_fan_out_returns_the_serial_results_in_input_order(jobs, deadline):
+    assert _fan_out(lambda x: (x, x * x), range(10), jobs) == [(x, x * x) for x in range(10)]
+    assert _fan_out(str, [], jobs) == []
+    assert_no_children()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+def test_fan_out_raises_the_first_failing_item_in_input_order(jobs, deadline):
+    # the shares are items[p::jobs]: at jobs 2 this process itself fails
+    # first (item 4) while a child fails too (item 5); at 3 and 5 item 4
+    # belongs to a child
+    def fn(x):
+        if x in (4, 5, 7):
+            raise DomainError(f"item {x}")
+        return x
+
+    with pytest.raises(DomainError, match="^item 4$") as info:
+        _fan_out(fn, range(10), jobs)
+    if jobs in (3, 5):
+        assert "DomainError: item 4" in str(info.value.__cause__)
+    assert_no_children()
+
+
+def test_fan_out_reports_a_child_killed_by_a_signal(deadline):
+    caller = os.getpid()
+
+    def fn(x):
+        if x == 1 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(RuntimeError, match="killed by signal 9 before sending its results"):
+        _fan_out(fn, range(6), 3)
+    assert_no_children()
+
+
+def test_fan_out_kills_the_children_when_its_own_share_is_interrupted(deadline):
+    class Interrupt(BaseException):
+        pass
+
+    caller = os.getpid()
+
+    def fn(x):
+        if os.getpid() == caller:
+            raise Interrupt
+        time.sleep(50)
+
+    start = time.monotonic()
+    with pytest.raises(Interrupt):
+        _fan_out(fn, range(4), 4)
+    assert time.monotonic() - start < 20
+    assert_no_children()
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys, gpforce; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

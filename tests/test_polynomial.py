@@ -2,12 +2,13 @@
 
 import io
 import json
+import os
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import cycle_graph
+from conftest import assert_no_children, cycle_graph
 from gpforce.cli import main as cli_main
 from gpforce.forcing import EngineMismatch, ForcingResult, forcing_numbers_map
 from gpforce.graphs import DomainError, Graph, build_gp
@@ -210,40 +211,32 @@ def test_orbit_table_csv_and_json(gp52):
 def test_forcing_numbers_map_parallel_matches_serial():
     g = build_gp(9, 2)
     ms = enumerate_perfect_matchings(g)
-    serial = forcing_numbers_map(g, ms, engine="hitting_set", jobs=1)
-    parallel = forcing_numbers_map(g, ms, engine="hitting_set", jobs=2)
-    assert serial == parallel
+    for engine in ("hitting_set", "subset_search", "both"):
+        serial = forcing_numbers_map(g, ms, engine=engine, jobs=1)
+        for jobs in (2, 3, len(ms) + 1):
+            assert forcing_numbers_map(g, ms, engine=engine, jobs=jobs) == serial
+            assert_no_children()
 
 
 def test_forcing_numbers_map_starts_no_more_workers_than_matchings(monkeypatch):
-    import gpforce.forcing as forcing_mod
+    # each worker beyond the calling process is one os.fork; counting the
+    # forks from this process gives the number of computing processes
+    forks = []
+    real_fork = os.fork
 
-    started = []
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
 
-    class InlineExecutor:
-        # stands in for the process pool: records the worker count it is
-        # asked for, then runs the initializer and the tasks in this process
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(forcing_mod, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(forcing_mod, "_POOL_GRAPH", None)
+    monkeypatch.setattr(os, "fork", counted_fork)
     # GP(12,2) has 8 dihedral orbit representatives
     assert analyze(build_gp(12, 2), jobs=64)[2].coeffs == {3: 51, 2: 3}
+    assert len(forks) + 1 == 8
+    forks.clear()
     g = build_gp(9, 2)
     ms = enumerate_perfect_matchings(g)
     assert forcing_numbers_map(g, ms, jobs=3) == forcing_numbers_map(g, ms)
-    assert started == [8, 3]
+    assert len(forks) + 1 == 3
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import assert_no_children
 from gpforce import tables
 from gpforce.tables import (
     PUBLISHED_MATCHING_COUNTS,
@@ -78,3 +79,12 @@ def test_verify_range_subset():
     checks = verify_published_tables(ns=range(5, 8))
     assert [c.n for c in checks] == [5, 6, 7]
     assert all(c.ok for c in checks)
+
+
+@pytest.mark.parametrize("engine", ["hitting_set", "subset_search", "both"])
+def test_verify_hands_out_tables_with_the_serial_results(engine):
+    serial = [c.to_json_dict() for c in verify_published_tables(engine=engine)]
+    for jobs in (2, 3, len(PUBLISHED_RANGE) + 1):
+        checks = verify_published_tables(engine=engine, jobs=jobs)
+        assert [c.to_json_dict() for c in checks] == serial
+        assert_no_children()
