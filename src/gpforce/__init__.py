@@ -34,6 +34,7 @@ from .polynomial import (
     PolyStats,
     analyze,
     matching_orbits,
+    orbit_polynomial,
     poly_stats,
 )
 from .tables import (
@@ -75,6 +76,7 @@ __all__ = [
     "matching_orbits",
     "matching_text",
     "max_disjoint_alternating_cycles",
+    "orbit_polynomial",
     "parse_matching",
     "poly_stats",
     "validate",

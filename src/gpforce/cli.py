@@ -11,11 +11,11 @@ so they are byte-identical for any worker count. The argument parser is
 built once per process, on the first main call.
 
 poly, orbits and verify-paper all run one pipeline, polynomial.analyze:
-enumerate the perfect matchings, compute the forcing number of the smallest
-member of each dihedral orbit, hand it to the other members, tally the
-forcing polynomial. --engine both compares the two engines on each
-representative. Orbit tables partition the matchings again, under either
-group, from those forcing numbers.
+enumerate the perfect matchings, partition them into dihedral orbits and
+compute the forcing number of each orbit's smallest member. --engine both
+compares the two engines on each representative. polynomial.orbit_polynomial
+tallies the orbits into the forcing polynomial, and rotation orbit tables
+split each dihedral orbit into its rotation orbits.
 The JSON report of a polynomial (n, k, coefficients, statistics, orbit rows)
 is rendered by polynomial.report_json alone.
 
@@ -55,6 +55,7 @@ from .polynomial import (
     OrbitTable,
     analyze,
     matching_orbits,
+    orbit_polynomial,
     poly_stats,
     polynomial_text,
     report_json,
@@ -310,8 +311,9 @@ def cmd_packing(args, out) -> int:
 def cmd_poly(args, out) -> int:
     g = build_gp(args.n, args.k)
     engine = _ENGINES[args.engine]
-    matchings, fns, poly = analyze(g, engine, _jobs(args))
-    orbits = matching_orbits(g, matchings, fns, group=args.group) if args.orbits else None
+    dihedral = analyze(g, engine, _jobs(args))
+    poly = orbit_polynomial(dihedral)
+    orbits = matching_orbits(g, dihedral, group=args.group) if args.orbits else None
     if args.fmt == "json":
         out.write(_dumps({**report_json(g, poly, orbits), "engine": engine}))
     else:
@@ -332,8 +334,8 @@ def cmd_poly(args, out) -> int:
 
 def cmd_orbits(args, out) -> int:
     g = build_gp(args.n, args.k)
-    matchings, fns, _ = analyze(g, _ENGINES[args.engine], _jobs(args))
-    table = OrbitTable(g, tuple(matching_orbits(g, matchings, fns, group=args.group)))
+    dihedral = analyze(g, _ENGINES[args.engine], _jobs(args))
+    table = OrbitTable(g, tuple(matching_orbits(g, dihedral, group=args.group)))
     if args.fmt == "json":
         out.write(_dumps(table.to_json_dict()))
     elif args.fmt == "csv":

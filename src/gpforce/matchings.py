@@ -85,11 +85,20 @@ def enumerate_perfect_matchings(g: Graph) -> list[int]:
     return sorted(_completions(g, 0))
 
 
+def _edge_ids(g: Graph, s: int):
+    """iter_bits(s); DomainError when s is negative or names an edge index
+    that g does not have (iter_bits would never end on a negative int)."""
+    if s < 0 or s >> g.num_edges:
+        raise DomainError(f"edge set {s:#x} is not a set of g's {g.num_edges} edges")
+    return iter_bits(s)
+
+
 def covered_vertices(g: Graph, s: int) -> int:
-    """Vertex mask covered by edge set s; DomainError when two edges share a
-    vertex or an edge has an endpoint outside the graph (see graphs.validate)."""
+    """Vertex mask covered by edge set s; DomainError when s is not a set of
+    g's edges, two edges share a vertex or an edge has an endpoint outside the
+    graph (see graphs.validate)."""
     covered = 0
-    for eid in iter_bits(s):
+    for eid in _edge_ids(g, s):
         a, b = g.edges[eid]
         if a < 0 or b >= g.num_vertices:  # edges are stored with a <= b
             raise DomainError(f"edge {eid} endpoint out of range: ({a}, {b})")
@@ -118,17 +127,15 @@ def count_matchings_containing(g: Graph, s: int, limit: int | None = None) -> in
 
 def is_perfect_matching(g: Graph, m: int) -> bool:
     """True iff the edges of m are pairwise disjoint and cover every vertex."""
-    if m >> g.num_edges:
-        return False  # an edge index out of range
     try:
         return covered_vertices(g, m) == g.full_vertex_mask
-    except DomainError:  # two edges share a vertex, or one leaves the graph
+    except DomainError:  # not g's edges, two share a vertex, or one leaves g
         return False
 
 
 def matching_text(g: Graph, m: int) -> str:
     """Comma-separated edge names in ascending edge-index order."""
-    return ",".join(g.edge_name(eid) for eid in iter_bits(m))
+    return ",".join(g.edge_name(eid) for eid in _edge_ids(g, m))
 
 
 def parse_matching(g: Graph, text: str) -> int:

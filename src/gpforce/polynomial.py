@@ -5,12 +5,13 @@ its coefficient at x^i counts matchings with forcing number i. Evaluating at
 1 gives the matching count, the log-derivative at 1 the average forcing
 number, and the support the forcing spectrum.
 
-Orbits partition the matchings of a GP graph under the cyclic rotations
-u_i -> u_{i+j}, v_i -> v_{i+j} (optionally the full dihedral group); every
-member of an orbit shares one forcing number because the maps are graph
-automorphisms. So analyze computes one forcing number per dihedral orbit and
-hands it to every member; a graph without gp_params has only the identity
-map, and each of its matchings is an orbit of its own.
+analyze partitions the matchings of a GP graph once, under the dihedral
+group (the rotations u_i -> u_{i+j}, v_i -> v_{i+j} and the reflections
+u_i -> u_{j-i}, v_i -> v_{j-i}), and returns those orbits. Every member of an
+orbit shares one forcing number because the maps are graph automorphisms, so
+the engine runs once per orbit. A graph without gp_params has only the
+identity map, and each of its matchings is an orbit of its own. Rotation
+orbit tables split each dihedral orbit into its one or two rotation orbits.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .matchings import (
 
 
 class OrbitInconsistency(RuntimeError):
-    """Members of one orbit disagree on data that automorphisms preserve."""
+    """An orbit's symmetry images leave the matchings it was taken from."""
 
 
 @dataclass
@@ -97,7 +98,7 @@ def poly_stats(p: ForcingPolynomial) -> PolyStats:
     )
 
 
-def _orbits(matchings: list[int], perms):
+def _orbits(matchings, perms):
     """Partition the ascending `matchings` into orbits of the group of edge
     permutations `perms`.
 
@@ -113,38 +114,33 @@ def _orbits(matchings: list[int], perms):
         stray = orbit - unseen
         if stray:
             raise OrbitInconsistency(
-                f"orbit image {min(stray):#x} of {m:#x} is not a known perfect matching"
+                f"symmetry image {min(stray):#x} of {m:#x} is not among the"
+                " matchings partitioned"
             )
         unseen -= orbit
         yield tuple(sorted(orbit))
 
 
-def analyze(
-    g: Graph, engine: str = "hitting_set", jobs: int = 1
-) -> tuple[list[int], list[int], ForcingPolynomial]:
-    """Enumerate g's perfect matchings, compute their forcing numbers with the
-    chosen engine ("both" cross-checks) and tally them into the polynomial.
+def analyze(g: Graph, engine: str = "hitting_set", jobs: int = 1) -> list[Orbit]:
+    """Enumerate g's perfect matchings, partition them into dihedral orbits
+    and compute each orbit's forcing number with the chosen engine ("both"
+    cross-checks).
 
-    The engine runs once per dihedral orbit, on its smallest member, and
-    `jobs` processes, this one included, share those representatives; every
-    other member gets the representative's forcing number. A graph without gp_params gets the
-    identity group, so each of its matchings is its own representative.
-
-    Returns the sorted matchings, their aligned forcing numbers and the
-    polynomial.
+    The engine runs once per orbit, on its smallest member, and `jobs`
+    processes, this one included, share those representatives. A graph
+    without gp_params gets the identity group, so each of its matchings is
+    its own orbit. Returns the orbits sorted by representative;
+    orbit_polynomial tallies them into the forcing polynomial.
     """
     matchings = enumerate_perfect_matchings(g)
     identity = [tuple(range(g.num_edges))]
     perms = symmetry_edge_permutations(g, "dihedral") if g.gp_params else identity
     orbits = list(_orbits(matchings, perms))
     results = forcing_numbers_map(g, [o[0] for o in orbits], engine=engine, jobs=jobs)
-    fn_of: dict[int, int] = {}
-    coeffs: dict[int, int] = {}
-    for orbit, r in zip(orbits, results):
-        f = r.forcing_number
-        fn_of.update(dict.fromkeys(orbit, f))
-        coeffs[f] = coeffs.get(f, 0) + len(orbit)
-    return matchings, [fn_of[m] for m in matchings], ForcingPolynomial(coeffs)
+    return [
+        Orbit(members[0], len(members), r.forcing_number, members)
+        for members, r in zip(orbits, results)
+    ]
 
 
 def report_json(g: Graph, poly: ForcingPolynomial, orbits=None) -> dict:
@@ -174,8 +170,9 @@ class Orbit:
     """A symmetry-equivalence class of perfect matchings.
 
     representative is the smallest bit-encoding over the whole orbit; size is
-    the matching count of the class (the PMC table column) and forcing_number
-    its common forcing number (the FN column).
+    the matching count of the class (the PMC table column), forcing_number
+    its common forcing number (the FN column) and members the ascending tuple
+    of its matchings.
     """
 
     representative: int
@@ -185,38 +182,25 @@ class Orbit:
 
 
 def matching_orbits(
-    g: Graph,
-    matchings: list[int],
-    forcing_numbers: list[int],
-    group: str = "rotation",
+    g: Graph, orbits: list[Orbit], group: str = "rotation"
 ) -> list[Orbit]:
-    """Partition matchings into orbits of the chosen symmetry group.
+    """The orbits of the chosen symmetry group, from analyze's dihedral orbits.
 
-    `forcing_numbers` gives each matching's forcing number, aligned with
-    `matchings`. Orbits come back sorted by representative: the smallest
-    matching not yet seen is the smallest of its orbit. Raises
-    OrbitInconsistency if an orbit's members disagree on the forcing number
-    or fall outside the matching list, both of which would mean a bug
-    somewhere upstream.
+    "dihedral" returns `orbits` unchanged; "rotation" splits each one into
+    its rotation orbits, which keep its forcing number. Orbits come back
+    sorted by representative. Raises DomainError for a graph without
+    gp_params or an unknown group, and OrbitInconsistency if a rotation image
+    leaves its dihedral orbit, which would mean a bug upstream.
     """
     perms = symmetry_edge_permutations(g, group)
-    fn_of = dict(zip(matchings, forcing_numbers))
-    orbits = []
-    for members in _orbits(sorted(fn_of), perms):
-        fns = {fn_of[m] for m in members}
-        if len(fns) != 1:
-            raise OrbitInconsistency(
-                f"orbit of {members[0]:#x} carries forcing numbers {sorted(fns)}"
-            )
-        orbits.append(
-            Orbit(
-                representative=members[0],
-                size=len(members),
-                forcing_number=fns.pop(),
-                members=members,
-            )
-        )
-    return orbits
+    if group == "dihedral":
+        return orbits
+    pieces = [
+        Orbit(members[0], len(members), o.forcing_number, members)
+        for o in orbits
+        for members in _orbits(o.members, perms)
+    ]
+    return sorted(pieces, key=lambda o: o.representative)
 
 
 def orbit_polynomial(orbits: list[Orbit]) -> ForcingPolynomial:
@@ -236,7 +220,7 @@ class OrbitTable:
 
     @property
     def polynomial(self) -> ForcingPolynomial:
-        return orbit_polynomial(list(self.orbits))
+        return orbit_polynomial(self.orbits)
 
     def rows(self) -> list[tuple[int, int, int, str]]:
         return [

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 from .forcing import _fan_out
 from .graphs import build_gp
-from .polynomial import ForcingPolynomial, analyze, matching_orbits, polynomial_text
+from .polynomial import (
+    ForcingPolynomial,
+    analyze,
+    matching_orbits,
+    orbit_polynomial,
+    polynomial_text,
+)
 
 PUBLISHED_RANGE = range(5, 16)
 
@@ -112,9 +118,7 @@ class TableCheck:
         return d
 
 
-def check_table(
-    n: int, engine: str = "hitting_set", jobs: int = 1
-) -> TableCheck:
+def check_table(n: int, engine: str = "hitting_set") -> TableCheck:
     """Recompute GP(n,2) and diff it against one published table.
 
     When the rotation-group orbit rows disagree with the published ones, the
@@ -122,18 +126,16 @@ def check_table(
     mismatch is visible instead of silently chosen.
     """
     g = build_gp(n, 2)
-    matchings, fns, poly = analyze(g, engine, jobs)
-    orbits = matching_orbits(g, matchings, fns, group="rotation")
-    rows = tuple((o.size, o.forcing_number) for o in orbits)
+    dihedral = analyze(g, engine)
+    orbits = matching_orbits(g, dihedral, group="rotation")
     check = TableCheck(
         n=n,
         expected_poly=dict(PUBLISHED_POLYNOMIALS[n]),
-        computed_poly=poly.coeffs,
+        computed_poly=orbit_polynomial(dihedral).coeffs,
         expected_rows=PUBLISHED_ORBIT_ROWS[n],
-        computed_rows=rows,
+        computed_rows=tuple((o.size, o.forcing_number) for o in orbits),
     )
     if not check.rows_ok:
-        dihedral = matching_orbits(g, matchings, fns, group="dihedral")
         check.dihedral_rows = tuple((o.size, o.forcing_number) for o in dihedral)
     return check
 
@@ -148,4 +150,4 @@ def verify_published_tables(
     """
     if ns is None:
         ns = PUBLISHED_RANGE
-    return _fan_out(lambda n: check_table(n, engine, 1), ns, jobs)
+    return _fan_out(lambda n: check_table(n, engine), ns, jobs)

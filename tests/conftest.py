@@ -13,6 +13,7 @@ import pytest
 
 from gpforce.graphs import Graph, build_gp
 from gpforce.matchings import parse_matching
+from gpforce.polynomial import Orbit
 
 
 @pytest.fixture(scope="session")
@@ -136,3 +137,42 @@ def brute_max_packing(cycles) -> int:
 
     grow(0, 0, 0)
     return best
+
+
+def reference_orbits(g: Graph, matchings, fns, group: str = "rotation") -> list[Orbit]:
+    """Orbits of GP(n,k) matchings under raw vertex maps, with their reference
+    forcing numbers.
+
+    Each rotation u_i -> u_{i+j}, v_i -> v_{i+j} (and, for "dihedral", each
+    reflection u_i -> u_{j-i}, v_i -> v_{j-i}) is applied to a matching's
+    endpoint pairs, which are looked up in the edge table again; no
+    permutation or partition code of the library is used. Asserts that every
+    image is in `matchings` and that each orbit's members agree on `fns`
+    (aligned with `matchings`). Orbits come sorted by representative.
+    """
+    n = g.gp_params[0]
+    index = {frozenset(e): eid for eid, e in enumerate(g.edges)}
+    signs = (1, -1) if group == "dihedral" else (1,)
+    maps = [
+        [ring + (sign * i + j) % n for ring in (0, n) for i in range(n)]
+        for sign in signs
+        for j in range(n)
+    ]
+
+    def image(m, vmap):
+        pairs = [g.edges[e] for e in range(g.num_edges) if m >> e & 1]
+        return sum(1 << index[frozenset((vmap[a], vmap[b]))] for a, b in pairs)
+
+    fn_of = dict(zip(matchings, fns))
+    seen = set()
+    orbits = []
+    for m in sorted(matchings):
+        if m in seen:
+            continue
+        members = tuple(sorted({image(m, vmap) for vmap in maps}))
+        assert set(members) <= fn_of.keys(), f"an image of {m:#x} is not a matching"
+        fs = {fn_of[x] for x in members}
+        assert len(fs) == 1, f"the orbit of {m:#x} carries forcing numbers {fs}"
+        seen.update(members)
+        orbits.append(Orbit(members[0], len(members), fs.pop(), members))
+    return orbits

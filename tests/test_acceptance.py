@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import reference_orbits
 from gpforce.cli import main as cli_main
 from gpforce.forcing import (
     enumerate_alternating_cycles,
@@ -29,7 +30,7 @@ from gpforce.matchings import (
     iter_bits,
     parse_matching,
 )
-from gpforce.polynomial import matching_orbits, polynomial_text
+from gpforce.polynomial import analyze, matching_orbits, polynomial_text
 from gpforce import tables
 from gpforce.tables import (
     PUBLISHED_MATCHING_COUNTS,
@@ -167,9 +168,13 @@ def test_criterion_7_structural_properties(published_checks, dual_engine_sweep):
         for m, rh in zip(ms, hit):
             cycles = enumerate_alternating_cycles(g, m)
             assert len(max_disjoint_alternating_cycles(cycles)) <= rh.forcing_number
-    # orbit sizes divide n; PMC sums reproduce the polynomial per exponent
+    # the rotation orbits agree with a vertex-map partition that checks each
+    # member's own forcing number; orbit sizes divide n; PMC sums reproduce
+    # the polynomial per exponent
     for n, (g, ms, hit, _) in sweep.items():
-        orbits = matching_orbits(g, ms, [r.forcing_number for r in hit], group="rotation")
+        fns = [r.forcing_number for r in hit]
+        orbits = matching_orbits(g, analyze(g), group="rotation")
+        assert orbits == reference_orbits(g, ms, fns, group="rotation")
         per_fn = Counter()
         for o in orbits:
             assert n % o.size == 0

@@ -331,6 +331,24 @@ def test_engine_mismatch_exits_3(monkeypatch, capsys):
         assert "consistency" in capsys.readouterr().err
 
 
+def test_orbit_inconsistency_exits_3(monkeypatch, capsys):
+    # a matching missing from the enumeration leaves its orbit's images
+    # outside the list that analyze partitions
+    import gpforce.polynomial as polynomial_mod
+
+    real = polynomial_mod.enumerate_perfect_matchings
+    monkeypatch.setattr(
+        polynomial_mod, "enumerate_perfect_matchings", lambda g: real(g)[:-1]
+    )
+    for argv in (
+        ("poly", "--n", "5"),
+        ("orbits", "--n", "7", "--group", "dihedral"),
+        ("verify-paper", "--max", "6"),
+    ):
+        assert run_cli(*argv, "--threads", "1")[0] == EXIT_INTERNAL
+        assert "internal consistency failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "fault, code, message",
     [
@@ -347,12 +365,12 @@ def test_worker_failures_keep_their_exit_codes(fault, code, message, monkeypatch
     caller = os.getpid()
     real = tables_mod.check_table
 
-    def faulty(n, engine, jobs):
+    def faulty(n, engine):
         if n == 6 and os.getpid() != caller:
             if fault == "raise":
                 raise DomainError("injected domain error")
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(n, engine, jobs)
+        return real(n, engine)
 
     monkeypatch.setattr(tables_mod, "check_table", faulty)
     argv = ("verify-paper", "--min", "5", "--max", "8", "--threads", "3")
@@ -392,10 +410,10 @@ def test_library_ignores_force_threads(monkeypatch):
     # only the CLI resolves the worker count; a library call runs in one
     # process unless it is given jobs
     from gpforce.graphs import build_gp
-    from gpforce.polynomial import analyze
+    from gpforce.polynomial import analyze, orbit_polynomial
 
     monkeypatch.setenv("FORCE_THREADS", "abc")
-    assert analyze(build_gp(6, 2))[2].coeffs == {2: 10}
+    assert orbit_polynomial(analyze(build_gp(6, 2))).coeffs == {2: 10}
     code, _ = run_cli("poly", "--n", "6")
     assert code == EXIT_DOMAIN
 

@@ -17,6 +17,7 @@ from conftest import (
     brute_max_packing,
     brute_single_cycle_partners,
     cycle_graph,
+    reference_orbits,
 )
 from gpforce.forcing import (
     AltCycle,
@@ -38,7 +39,6 @@ from gpforce.matchings import (
     iter_bits,
     parse_matching,
 )
-from gpforce.polynomial import matching_orbits
 
 # The five m1-alternating cycles of GP(5,2), straight from the published
 # worked example, as (matched edge indices, vertex ids). Vertex v_i is 5+i.
@@ -220,7 +220,7 @@ def test_deepening_matches_full_cycle_list():
 def test_deepening_matches_full_cycle_list_on_orbit_representatives(n):
     g = build_gp(n, 2)
     ms = enumerate_perfect_matchings(g)
-    for orbit in matching_orbits(g, ms, [0] * len(ms), group="dihedral"):
+    for orbit in reference_orbits(g, ms, [0] * len(ms), group="dihedral"):
         m = orbit.representative
         full = forcing_number_by_hitting_set(g, m, enumerate_alternating_cycles(g, m))
         assert forcing_number_by_hitting_set(g, m) == full, m

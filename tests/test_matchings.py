@@ -152,6 +152,15 @@ def test_endpoint_out_of_range_is_a_domain_error(edges):
     assert is_perfect_matching(g, 2)
 
 
+@pytest.mark.parametrize("s", [1 << 15, 1 << 100, -1, -(1 << 15)], ids=hex)
+def test_edge_set_outside_the_graph_is_a_domain_error(gp52, s):
+    # GP(5,2) has edges 0..14; a negative int has infinitely many set bits
+    for call in (covered_vertices, count_matchings_containing, matching_text):
+        with pytest.raises(DomainError, match="not a set of g's 15 edges"):
+            call(gp52, s)
+    assert not is_perfect_matching(gp52, s)
+
+
 def test_text_forms_roundtrip(gp52, gp52_matchings):
     m1 = gp52_matchings["m1"]
     text = matching_text(gp52, m1)

@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_no_children, cycle_graph
+from conftest import assert_no_children, cycle_graph, reference_orbits
 from gpforce.cli import main as cli_main
 from gpforce.forcing import EngineMismatch, ForcingResult, forcing_numbers_map
 from gpforce.graphs import DomainError, Graph, build_gp
 from gpforce.matchings import enumerate_perfect_matchings, permute_edge_set
 from gpforce.polynomial import (
     ForcingPolynomial,
+    Orbit,
     OrbitInconsistency,
     OrbitTable,
     analyze,
@@ -28,16 +29,16 @@ from gpforce.graphs import symmetry_edge_permutations
 
 
 def test_polynomial_gp5(gp52):
-    assert analyze(gp52)[2].coeffs == {2: 6}
+    assert orbit_polynomial(analyze(gp52)).coeffs == {2: 6}
 
 
 def test_polynomial_gp9_both_engines():
-    _, _, p = analyze(build_gp(9, 2), engine="both")
+    p = orbit_polynomial(analyze(build_gp(9, 2), engine="both"))
     assert p.coeffs == {3: 1, 2: 21}
 
 
 def test_polynomial_gp14():
-    _, _, p = analyze(build_gp(14, 2))
+    p = orbit_polynomial(analyze(build_gp(14, 2)))
     assert p.coeffs == {4: 57, 3: 56}
 
 
@@ -78,7 +79,7 @@ def test_poly_stats_single_term():
 
 
 def test_poly_stats_trivial_graph(k2):
-    stats = poly_stats(analyze(k2)[2])
+    stats = poly_stats(orbit_polynomial(analyze(k2)))
     assert stats.pm_count == 1
     assert stats.average_forcing == 0
 
@@ -103,8 +104,7 @@ def test_engine_mismatch_aborts(gp52, monkeypatch):
 
 
 def test_gp5_orbits(gp52):
-    matchings, results, _ = analyze(gp52)
-    orbits = matching_orbits(gp52, matchings, results, group="rotation")
+    orbits = matching_orbits(gp52, analyze(gp52), group="rotation")
     assert sorted(o.size for o in orbits) == [1, 5]
     assert all(o.forcing_number == 2 for o in orbits)
     # the singleton orbit is the all-spokes matching
@@ -114,16 +114,14 @@ def test_gp5_orbits(gp52):
 
 def test_gp9_orbits():
     g = build_gp(9, 2)
-    matchings, results, _ = analyze(g)
-    orbits = matching_orbits(g, matchings, results, group="rotation")
+    orbits = matching_orbits(g, analyze(g), group="rotation")
     assert sorted(o.size for o in orbits) == [1, 3, 9, 9]
     assert next(o for o in orbits if o.size == 1).forcing_number == 3
 
 
 def test_gp12_orbit_multiset():
     g = build_gp(12, 2)
-    matchings, results, _ = analyze(g)
-    orbits = matching_orbits(g, matchings, results, group="rotation")
+    orbits = matching_orbits(g, analyze(g), group="rotation")
     rows = sorted((o.size, o.forcing_number) for o in orbits)
     assert rows == sorted(
         [(4, 3), (12, 3), (12, 3), (6, 3), (12, 3), (1, 3), (4, 3), (3, 2)]
@@ -133,8 +131,9 @@ def test_gp12_orbit_multiset():
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
 def test_orbit_invariants(n):
     g = build_gp(n, 2)
-    matchings, results, poly = analyze(g)
-    orbits = matching_orbits(g, matchings, results, group="rotation")
+    matchings = enumerate_perfect_matchings(g)
+    dihedral = analyze(g)
+    orbits = matching_orbits(g, dihedral, group="rotation")
     perms = symmetry_edge_permutations(g, "rotation")
     # orbit sizes divide n, members partition the matchings, orbits are closed
     assert sum(o.size for o in orbits) == len(matchings)
@@ -149,34 +148,50 @@ def test_orbit_invariants(n):
                 assert permute_edge_set(member, p) in o.members
     assert seen == set(matchings)
     # per-exponent orbit sizes reassemble the polynomial
-    assert orbit_polynomial(orbits).coeffs == poly.coeffs
+    assert orbit_polynomial(orbits).coeffs == orbit_polynomial(dihedral).coeffs
 
 
-def test_orbits_require_gp_graph(k2):
+def test_orbits_require_gp_graph(k2, gp52):
     with pytest.raises(DomainError):
-        matching_orbits(k2, [1], [0], group="rotation")
+        matching_orbits(k2, analyze(k2), group="rotation")
+    with pytest.raises(DomainError):
+        matching_orbits(gp52, analyze(gp52), group="mirror")
 
 
-def test_orbit_inconsistency_detected(gp52):
-    matchings, fns, _ = analyze(gp52)
-    fns[2] += 1  # corrupt one member of the big orbit
+def test_analyze_detects_a_dropped_matching(gp52, monkeypatch):
+    # the images of the other members of its orbit now land outside the
+    # enumerated matchings
+    import gpforce.polynomial as polynomial_mod
+
+    (big,) = [o for o in analyze(gp52) if o.size == 5]
+    real = polynomial_mod.enumerate_perfect_matchings
+
+    def dropping(g):
+        return [m for m in real(g) if m != big.members[2]]
+
+    monkeypatch.setattr(polynomial_mod, "enumerate_perfect_matchings", dropping)
     with pytest.raises(OrbitInconsistency):
-        matching_orbits(gp52, matchings, fns, group="rotation")
+        analyze(gp52)
+
+
+def test_rotation_split_detects_an_orbit_not_closed_under_rotation(gp52):
+    (big,) = [o for o in analyze(gp52) if o.size == 5]
+    cut = Orbit(big.representative, 4, big.forcing_number, big.members[:4])
     with pytest.raises(OrbitInconsistency):
-        # drop a matching: its rotations now land outside the known set
-        matching_orbits(gp52, matchings[:-1], fns[:-1], group="rotation")
+        matching_orbits(gp52, [cut], group="rotation")
+    # the dihedral group is analyze's own, so its orbits pass unchanged
+    assert matching_orbits(gp52, [cut], group="dihedral") == [cut]
 
 
 def test_dihedral_orbits_partition(gp52):
-    matchings, results, _ = analyze(gp52)
-    orbits = matching_orbits(gp52, matchings, results, group="dihedral")
+    orbits = matching_orbits(gp52, analyze(gp52), group="dihedral")
+    assert orbits == analyze(gp52)
     assert sum(o.size for o in orbits) == 6
     assert all(10 % o.size == 0 for o in orbits)
 
 
 def test_orbit_table_gp5(gp52):
-    matchings, results, _ = analyze(gp52)
-    table = OrbitTable(gp52, tuple(matching_orbits(gp52, matchings, results)))
+    table = OrbitTable(gp52, tuple(matching_orbits(gp52, analyze(gp52))))
     text = table.to_text()
     rows = table.rows()
     assert len(rows) == 2
@@ -187,8 +202,7 @@ def test_orbit_table_gp5(gp52):
 
 def test_orbit_table_gp13():
     g = build_gp(13, 2)
-    matchings, results, _ = analyze(g)
-    table = OrbitTable(g, tuple(matching_orbits(g, matchings, results)))
+    table = OrbitTable(g, tuple(matching_orbits(g, analyze(g))))
     rows = table.rows()
     assert len(rows) == 7
     assert sum(1 for _, pmc, fn, _ in rows if (pmc, fn) == (1, 4)) == 1
@@ -196,8 +210,7 @@ def test_orbit_table_gp13():
 
 
 def test_orbit_table_csv_and_json(gp52):
-    matchings, results, _ = analyze(gp52)
-    table = OrbitTable(gp52, tuple(matching_orbits(gp52, matchings, results)))
+    table = OrbitTable(gp52, tuple(matching_orbits(gp52, analyze(gp52))))
     csv = table.to_csv().splitlines()
     assert csv[0] == "no,pmc,fn,representative"
     assert len(csv) == 3
@@ -230,7 +243,7 @@ def test_forcing_numbers_map_starts_no_more_workers_than_matchings(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     # GP(12,2) has 8 dihedral orbit representatives
-    assert analyze(build_gp(12, 2), jobs=64)[2].coeffs == {3: 51, 2: 3}
+    assert orbit_polynomial(analyze(build_gp(12, 2), jobs=64)).coeffs == {3: 51, 2: 3}
     assert len(forks) + 1 == 8
     forks.clear()
     g = build_gp(9, 2)
@@ -262,10 +275,10 @@ def test_analyze_without_gp_params_runs_every_matching(g, monkeypatch):
         return forcing_numbers_map(g, matchings, **kwargs)
 
     monkeypatch.setattr(polynomial_mod, "forcing_numbers_map", recorded)
-    matchings, fns, poly = analyze(g)
-    assert len(ms) > 1 and reps == matchings == ms
-    assert fns == reference
-    assert poly.coeffs == Counter(reference)
+    orbits = analyze(g)
+    assert len(ms) > 1 and reps == ms
+    assert orbits == [Orbit(m, 1, f, (m,)) for m, f in zip(ms, reference)]
+    assert orbit_polynomial(orbits).coeffs == Counter(reference)
 
 
 @pytest.fixture(scope="module")
@@ -290,10 +303,13 @@ def per_matching():
 )
 def test_analyze_copies_agree_with_per_matching_results(n, k, per_matching):
     g, ms, reference = per_matching(n, k)
-    matchings, fns, poly = analyze(g)
-    assert matchings == ms
-    assert fns == reference
-    assert poly.coeffs == Counter(reference)
+    orbits = analyze(g)
+    fn_of = dict(zip(ms, reference))
+    assert sorted(m for o in orbits for m in o.members) == ms
+    for o in orbits:
+        assert all(fn_of[m] == o.forcing_number for m in o.members), o
+    assert orbits == reference_orbits(g, ms, reference, group="dihedral")
+    assert orbit_polynomial(orbits).coeffs == Counter(reference)
 
 
 def _cli(argv) -> str:
@@ -307,9 +323,9 @@ def test_orbit_reports_agree_with_per_matching_results(n, per_matching):
     # extends the golden file's byte-for-byte guard (n <= 12) to larger n
     g, ms, reference = per_matching(n, 2)
     poly = ForcingPolynomial(dict(Counter(reference)))
-    rotation = matching_orbits(g, ms, reference, group="rotation")
+    rotation = reference_orbits(g, ms, reference, group="rotation")
     report = {**report_json(g, poly, rotation), "engine": "hitting_set"}
     expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert _cli(["poly", "--n", str(n), "--orbits", "--format", "json"]) == expected
-    dihedral = OrbitTable(g, tuple(matching_orbits(g, ms, reference, group="dihedral")))
+    dihedral = OrbitTable(g, tuple(reference_orbits(g, ms, reference, group="dihedral")))
     assert _cli(["orbits", "--n", str(n), "--group", "dihedral"]) == dihedral.to_text()

@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_orbits
 from gpforce.forcing import (
     enumerate_alternating_cycles,
     forcing_number_by_hitting_set,
@@ -156,7 +157,7 @@ def test_engines_and_orbits_for_other_skips(n, k):
     g = build_gp(n, k)
     ms = enumerate_perfect_matchings(g)
     assert ms
-    from gpforce.polynomial import matching_orbits, orbit_polynomial
+    from gpforce.polynomial import analyze, matching_orbits, orbit_polynomial
 
     fns = []
     for m in ms:
@@ -164,7 +165,8 @@ def test_engines_and_orbits_for_other_skips(n, k):
         sub = forcing_number_by_subset_search(g, m)
         assert hit.forcing_number == sub.forcing_number
         fns.append(hit.forcing_number)
-    orbits = matching_orbits(g, ms, fns, group="rotation")
+    orbits = matching_orbits(g, analyze(g), group="rotation")
+    assert orbits == reference_orbits(g, ms, fns, group="rotation")
     assert sum(o.size for o in orbits) == len(ms)
     assert all(n % o.size == 0 for o in orbits)
     per_fn = orbit_polynomial(orbits).coeffs
