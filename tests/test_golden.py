@@ -4,8 +4,9 @@
 what it printed to stdout. The calls cover every subcommand and format on
 GP(n,2) for n = 5..12 (single-matching commands on the first, middle and last
 matching), `poly --orbits` and dihedral `orbits` on GP(n,2) for n = 13..24,
-a few k != 2 graphs and verify-paper. A refactor must leave every entry
-unchanged; rewrite the file, with
+a few k != 2 graphs (dihedral orbits included, also for k > n/2) and
+verify-paper. A refactor must leave every entry unchanged; rewrite the file,
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -70,6 +71,11 @@ def cases() -> list[list[str]]:
         out += [["graph", *gp], ["matchings", *gp]]
         out += [["poly", *gp, "--orbits", "--format", f, "--threads", "1"]
                 for f in ("table", "json")]
+    # the reflection's block offsets depend on k, so pin dihedral orbits for
+    # several k != 2, k > n/2 included
+    for n, k in ((7, 3), (9, 4), (11, 3), (13, 5), (14, 3), (7, 5), (11, 7), (13, 8)):
+        gp = ["--n", str(n), "--k", str(k), "--group", "dihedral", "--threads", "1"]
+        out += [["poly", *gp, "--orbits"], ["orbits", *gp, "--format", "json"]]
     out += [["verify-paper", "--format", f, "--threads", "1"] for f in ("table", "json")]
     # domain errors: exit 2 with nothing on stdout
     out += [
