@@ -349,11 +349,6 @@ def cmd_verify_paper(args, out) -> int:
     jobs = _jobs(args)
     if args.n_min > args.n_max:
         raise DomainError(f"--min {args.n_min} exceeds --max {args.n_max}")
-    if not PUBLISHED_RANGE.start <= args.n_min <= args.n_max <= PUBLISHED_RANGE.stop - 1:
-        raise DomainError(
-            f"published tables cover n = {PUBLISHED_RANGE.start}.."
-            f"{PUBLISHED_RANGE.stop - 1}"
-        )
     checks = verify_published_tables(
         range(args.n_min, args.n_max + 1), engine=_ENGINES[args.engine], jobs=jobs
     )

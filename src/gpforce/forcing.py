@@ -201,8 +201,10 @@ def is_forcing(g: Graph, m: int, s: int, criterion: str = "uniqueness") -> bool:
     iff exactly one); criterion "cycles" checks that s meets the matched
     edges of every m-alternating cycle, by a walk that skips the vertices of
     s and stops at the first cycle it closes. The two are provably
-    equivalent.
+    equivalent. Raises DomainError when m is not a perfect matching of g.
     """
+    if not is_perfect_matching(g, m):
+        raise DomainError("not a perfect matching of this graph")
     if s & ~m:
         raise DomainError("s is not a subset of the matching")
     if criterion == "uniqueness":

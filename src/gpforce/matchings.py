@@ -36,16 +36,6 @@ def edge_set(indices) -> int:
     return mask
 
 
-def permute_edge_set(mask: int, perm) -> int:
-    """Image of an edge set under an edge-index permutation."""
-    out = 0
-    while mask:
-        lsb = mask & -mask
-        out |= 1 << perm[lsb.bit_length() - 1]
-        mask ^= lsb
-    return out
-
-
 def _completions(g: Graph, covered: int):
     """Yield each edge mask that completes vertex set `covered` to a perfect matching.
 

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .forcing import forcing_numbers_map
-from .graphs import DomainError, Graph, symmetry_edge_permutations
-from .matchings import (
-    edge_indices,
-    enumerate_perfect_matchings,
-    matching_text,
-    permute_edge_set,
-)
+from .graphs import DomainError, Graph, symmetry_images
+from .matchings import edge_indices, enumerate_perfect_matchings, matching_text
 
 
 class OrbitInconsistency(RuntimeError):
@@ -98,9 +93,10 @@ def poly_stats(p: ForcingPolynomial) -> PolyStats:
     )
 
 
-def _orbits(matchings, perms):
-    """Partition the ascending `matchings` into orbits of the group of edge
-    permutations `perms`.
+def _orbits(matchings, images):
+    """Partition the ascending `matchings` into orbits of a symmetry group,
+    given as `images`, the function from an edge set to the list of its images
+    under every group element (see graphs.symmetry_images).
 
     Yields each orbit as the ascending tuple of its members, in ascending
     order of its smallest member. Raises OrbitInconsistency if an image falls
@@ -110,7 +106,7 @@ def _orbits(matchings, perms):
     for m in matchings:
         if m not in unseen:
             continue
-        orbit = {permute_edge_set(m, p) for p in perms}
+        orbit = set(images(m))
         stray = orbit - unseen
         if stray:
             raise OrbitInconsistency(
@@ -133,9 +129,8 @@ def analyze(g: Graph, engine: str = "hitting_set", jobs: int = 1) -> list[Orbit]
     orbit_polynomial tallies them into the forcing polynomial.
     """
     matchings = enumerate_perfect_matchings(g)
-    identity = [tuple(range(g.num_edges))]
-    perms = symmetry_edge_permutations(g, "dihedral") if g.gp_params else identity
-    orbits = list(_orbits(matchings, perms))
+    images = symmetry_images(g, "dihedral") if g.gp_params else lambda m: [m]
+    orbits = list(_orbits(matchings, images))
     results = forcing_numbers_map(g, [o[0] for o in orbits], engine=engine, jobs=jobs)
     return [
         Orbit(members[0], len(members), r.forcing_number, members)
@@ -187,18 +182,19 @@ def matching_orbits(
     """The orbits of the chosen symmetry group, from analyze's dihedral orbits.
 
     "dihedral" returns `orbits` unchanged; "rotation" splits each one into
-    its rotation orbits, which keep its forcing number. Orbits come back
-    sorted by representative. Raises DomainError for a graph without
-    gp_params or an unknown group, and OrbitInconsistency if a rotation image
-    leaves its dihedral orbit, which would mean a bug upstream.
+    its rotation orbits by the same _orbits that analyze partitions with, and
+    they keep its forcing number. Orbits come back sorted by representative.
+    Raises DomainError for a graph without gp_params or an unknown group, and
+    OrbitInconsistency if a rotation image leaves its dihedral orbit, which
+    would mean a bug upstream.
     """
-    perms = symmetry_edge_permutations(g, group)
+    images = symmetry_images(g, group)
     if group == "dihedral":
         return orbits
     pieces = [
         Orbit(members[0], len(members), o.forcing_number, members)
         for o in orbits
-        for members in _orbits(o.members, perms)
+        for members in _orbits(o.members, images)
     ]
     return sorted(pieces, key=lambda o: o.representative)
 

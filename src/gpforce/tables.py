@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .forcing import _fan_out
-from .graphs import build_gp
+from .graphs import DomainError, build_gp
 from .polynomial import (
     ForcingPolynomial,
     analyze,
@@ -146,8 +146,11 @@ def verify_published_tables(
     """Re-derive every requested table, by default all published ones.
 
     jobs > 1 hands whole tables out to that many processes, this one
-    included; each table is computed in one process.
+    included; each table is computed in one process. Raises DomainError,
+    before any table is computed, for an n without a published table.
     """
-    if ns is None:
-        ns = PUBLISHED_RANGE
+    ns = PUBLISHED_RANGE if ns is None else list(ns)
+    if any(n not in PUBLISHED_RANGE for n in ns):
+        first, last = PUBLISHED_RANGE[0], PUBLISHED_RANGE[-1]
+        raise DomainError(f"published tables cover n = {first}..{last}")
     return _fan_out(lambda n: check_table(n, engine), ns, jobs)

@@ -139,37 +139,61 @@ def brute_max_packing(cycles) -> int:
     return best
 
 
-def reference_orbits(g: Graph, matchings, fns, group: str = "rotation") -> list[Orbit]:
-    """Orbits of GP(n,k) matchings under raw vertex maps, with their reference
-    forcing numbers.
-
-    Each rotation u_i -> u_{i+j}, v_i -> v_{i+j} (and, for "dihedral", each
-    reflection u_i -> u_{j-i}, v_i -> v_{j-i}) is applied to a matching's
-    endpoint pairs, which are looked up in the edge table again; no
-    permutation or partition code of the library is used. Asserts that every
-    image is in `matchings` and that each orbit's members agree on `fns`
-    (aligned with `matchings`). Orbits come sorted by representative.
-    """
+def symmetry_vertex_maps(g: Graph, group: str = "rotation") -> list[list[int]]:
+    """The vertex maps of GP(n,k)'s symmetry group, in the order of
+    graphs.symmetry_images: the rotations u_i -> u_{i+j}, v_i -> v_{i+j} for
+    j = 0..n-1, then, for "dihedral", the reflections u_i -> u_{j-i},
+    v_i -> v_{j-i}."""
     n = g.gp_params[0]
-    index = {frozenset(e): eid for eid, e in enumerate(g.edges)}
     signs = (1, -1) if group == "dihedral" else (1,)
-    maps = [
+    return [
         [ring + (sign * i + j) % n for ring in (0, n) for i in range(n)]
         for sign in signs
         for j in range(n)
     ]
 
-    def image(m, vmap):
-        pairs = [g.edges[e] for e in range(g.num_edges) if m >> e & 1]
-        return sum(1 << index[frozenset((vmap[a], vmap[b]))] for a, b in pairs)
 
+def vertex_map_edge_permutation(g: Graph, vmap) -> tuple[int, ...]:
+    """Edge permutation induced by a vertex bijection, by looking each image
+    edge up in the edge table; DomainError when some image edge does not
+    exist, so it doubles as an automorphism check."""
+    return tuple(g.find_edge(vmap[a], vmap[b]) for a, b in g.edges)
+
+
+def symmetry_edge_permutations(g: Graph, group: str = "rotation") -> list[tuple[int, ...]]:
+    """The edge permutation of every element of the group, from its vertex map."""
+    return [vertex_map_edge_permutation(g, v) for v in symmetry_vertex_maps(g, group)]
+
+
+def permute_edge_set(mask: int, perm) -> int:
+    """Image of an edge set under an edge-index permutation, edge by edge."""
+    return sum(1 << perm[e] for e in range(len(perm)) if mask >> e & 1)
+
+
+def reference_images(g: Graph, group: str, s: int) -> list[int]:
+    """The images of edge set s under every group element, in group order,
+    from the vertex maps alone: the reference for graphs.symmetry_images."""
+    return [permute_edge_set(s, p) for p in symmetry_edge_permutations(g, group)]
+
+
+def reference_orbits(g: Graph, matchings, fns, group: str = "rotation") -> list[Orbit]:
+    """Orbits of GP(n,k) matchings under raw vertex maps, with their reference
+    forcing numbers.
+
+    Each map of symmetry_vertex_maps is applied to a matching's endpoint
+    pairs, which are looked up in the edge table again; no symmetry or
+    partition code of the library is used. Asserts that every image is in
+    `matchings` and that each orbit's members agree on `fns` (aligned with
+    `matchings`). Orbits come sorted by representative.
+    """
+    perms = symmetry_edge_permutations(g, group)
     fn_of = dict(zip(matchings, fns))
     seen = set()
     orbits = []
     for m in sorted(matchings):
         if m in seen:
             continue
-        members = tuple(sorted({image(m, vmap) for vmap in maps}))
+        members = tuple(sorted({permute_edge_set(m, p) for p in perms}))
         assert set(members) <= fn_of.keys(), f"an image of {m:#x} is not a matching"
         fs = {fn_of[x] for x in members}
         assert len(fs) == 1, f"the orbit of {m:#x} carries forcing numbers {fs}"

@@ -265,6 +265,11 @@ def test_is_forcing_rejects_non_subset(gp52, gp52_matchings):
         is_forcing(gp52, gp52_matchings["m1"], edge_set([2]))
     with pytest.raises(DomainError):
         is_forcing(gp52, gp52_matchings["m1"], edge_set([0]), "nonsense")
+    # four spokes u0-v0..u3-v3 are not a perfect matching, even of themselves
+    four_spokes = edge_set([5, 6, 7, 8])
+    for criterion in ("uniqueness", "cycles"):
+        with pytest.raises(DomainError, match="not a perfect matching of this graph"):
+            is_forcing(gp52, four_spokes, four_spokes, criterion)
 
 
 def test_witnesses_are_minimal_and_forcing():

@@ -1,18 +1,18 @@
 """Graph construction, validation, and the rotation/reflection symmetries."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gpforce.graphs import (
-    DomainError,
-    Graph,
-    build_gp,
+from conftest import (
+    reference_images,
     symmetry_edge_permutations,
-    validate,
     vertex_map_edge_permutation,
 )
+from gpforce.graphs import DomainError, Graph, build_gp, symmetry_images, validate
+from gpforce.matchings import enumerate_perfect_matchings
 
 
 def test_gp52_shape(gp52):
@@ -98,18 +98,29 @@ def arithmetic_rotation(n: int, eid: int, j: int) -> int:
     return cls * n + (i + j) % n
 
 
+def image_tables(g: Graph, group: str) -> list[tuple[int, ...]]:
+    """The edge permutation of each group element, read off the images of
+    single edges under symmetry_images."""
+    images = symmetry_images(g, group)
+    columns = [images(1 << e) for e in range(g.num_edges)]
+    assert all(x.bit_count() == 1 for col in columns for x in col)
+    return [
+        tuple(col[p].bit_length() - 1 for col in columns) for p in range(len(columns[0]))
+    ]
+
+
 def test_rotation_identity_and_shift(gp52):
-    rotations = symmetry_edge_permutations(gp52, "rotation")
-    assert rotations[0][7] == 7
-    assert rotations[1][0] == 1        # inner i=0 -> i=1
-    assert rotations[1][14] == 10      # outer i=4 wraps to i=0
-    assert rotations[2][9] == 6        # spoke i=4 -> i=1
+    rotations = symmetry_images(gp52, "rotation")
+    assert rotations(1 << 7)[0] == 1 << 7
+    assert rotations(1 << 0)[1] == 1 << 1     # inner i=0 -> i=1
+    assert rotations(1 << 14)[1] == 1 << 10   # outer i=4 wraps to i=0
+    assert rotations(1 << 9)[2] == 1 << 6     # spoke i=4 -> i=1
 
 
 def test_rotation_requires_gp(k2):
     for group in ("rotation", "dihedral"):
-        with pytest.raises(DomainError):
-            symmetry_edge_permutations(k2, group)
+        with pytest.raises(DomainError, match="only defined for GP graphs"):
+            symmetry_images(k2, group)
 
 
 def test_rotations_match_index_arithmetic():
@@ -122,7 +133,7 @@ def test_rotations_match_index_arithmetic():
                 tuple(arithmetic_rotation(n, e, j) for e in range(g.num_edges))
                 for j in range(n)
             ]
-            assert symmetry_edge_permutations(g, "rotation") == expected, (n, k)
+            assert image_tables(g, "rotation") == expected, (n, k)
 
 
 @given(
@@ -136,7 +147,7 @@ def test_rotation_bijection_and_composition(n, k, j1, j2):
         return
     g = build_gp(n, k)
     j1, j2 = j1 % n, j2 % n
-    rotations = symmetry_edge_permutations(g, "rotation")
+    rotations = image_tables(g, "rotation")
     p1 = rotations[j1]
     assert sorted(p1) == list(range(g.num_edges))
     composed = tuple(rotations[j2][p1[e]] for e in range(g.num_edges))
@@ -145,18 +156,19 @@ def test_rotation_bijection_and_composition(n, k, j1, j2):
 
 @pytest.mark.parametrize("n,k", [(5, 2), (8, 2), (9, 2), (7, 3), (11, 4)])
 def test_rotation_is_an_automorphism(n, k):
-    # the image of the edge set under each rotation must be the edge set;
-    # vertex_map_edge_permutation raises if any image edge is missing
+    # each rotation's vertex map carries every edge to an edge (the reference
+    # raises otherwise), and the block images move edges exactly as it does
     g = build_gp(n, k)
-    rotations = symmetry_edge_permutations(g, "rotation")
+    rotations = image_tables(g, "rotation")
     for j in range(n):
         vmap = [(v + j) % n if v < n else n + ((v - n) + j) % n for v in range(2 * n)]
         assert vertex_map_edge_permutation(g, vmap) == rotations[j]
 
 
 def test_reflection_is_an_automorphism(gp52):
-    reflections = symmetry_edge_permutations(gp52, "dihedral")[5:]
+    reflections = image_tables(gp52, "dihedral")[5:]
     assert len(reflections) == 5
+    assert reflections == symmetry_edge_permutations(gp52, "dihedral")[5:]
     for perm in reflections:
         assert sorted(perm) == list(range(15))
         # reflecting twice is the identity
@@ -166,13 +178,28 @@ def test_reflection_is_an_automorphism(gp52):
 @pytest.mark.parametrize("n,k", [(5, 2), (8, 3), (12, 2), (13, 5)])
 def test_dihedral_group_is_closed(n, k):
     g = build_gp(n, k)
-    perms = symmetry_edge_permutations(g, "dihedral")
+    perms = image_tables(g, "dihedral")
     assert len(perms) == len(set(perms)) == 2 * n
-    assert perms[:n] == symmetry_edge_permutations(g, "rotation")
+    assert perms[:n] == image_tables(g, "rotation")
     group = set(perms)
     for p in perms:
         for q in perms:
             assert tuple(q[p[e]] for e in range(g.num_edges)) in group
+
+
+@pytest.mark.parametrize("group", ["rotation", "dihedral"])
+@pytest.mark.parametrize(
+    "n,k", [(5, 1), (5, 2), (7, 3), (7, 5), (9, 4), (11, 7), (12, 5), (13, 8), (16, 9)]
+)
+def test_block_images_match_vertex_maps(n, k, group):
+    g = build_gp(n, k)
+    images = symmetry_images(g, group)
+    rng = random.Random(n * 100 + k)
+    ms = enumerate_perfect_matchings(g)
+    sample = [0, (1 << g.num_edges) - 1, *rng.sample(ms, min(len(ms), 8))]
+    sample += [rng.getrandbits(g.num_edges) for _ in range(8)]
+    for s in sample:
+        assert images(s) == reference_images(g, group, s), (s, group)
 
 
 def test_non_automorphism_vertex_map_raises(gp52):
@@ -183,10 +210,10 @@ def test_non_automorphism_vertex_map_raises(gp52):
 
 
 def test_symmetry_group_sizes(gp52):
-    assert len(symmetry_edge_permutations(gp52, "rotation")) == 5
-    assert len(set(symmetry_edge_permutations(gp52, "dihedral"))) == 10
-    with pytest.raises(DomainError):
-        symmetry_edge_permutations(gp52, "frieze")
+    assert len(symmetry_images(gp52, "rotation")(1)) == 5
+    assert len(set(image_tables(gp52, "dihedral"))) == 10
+    with pytest.raises(DomainError, match="unknown symmetry group 'frieze'"):
+        symmetry_images(gp52, "frieze")
 
 
 def test_dot_export(gp52):

@@ -8,11 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_no_children, cycle_graph, reference_orbits
+from conftest import (
+    assert_no_children,
+    cycle_graph,
+    permute_edge_set,
+    reference_orbits,
+    symmetry_edge_permutations,
+)
 from gpforce.cli import main as cli_main
 from gpforce.forcing import EngineMismatch, ForcingResult, forcing_numbers_map
 from gpforce.graphs import DomainError, Graph, build_gp
-from gpforce.matchings import enumerate_perfect_matchings, permute_edge_set
+from gpforce.matchings import enumerate_perfect_matchings
 from gpforce.polynomial import (
     ForcingPolynomial,
     Orbit,
@@ -25,7 +31,6 @@ from gpforce.polynomial import (
     polynomial_text,
     report_json,
 )
-from gpforce.graphs import symmetry_edge_permutations
 
 
 def test_polynomial_gp5(gp52):
@@ -134,7 +139,7 @@ def test_orbit_invariants(n):
     matchings = enumerate_perfect_matchings(g)
     dihedral = analyze(g)
     orbits = matching_orbits(g, dihedral, group="rotation")
-    perms = symmetry_edge_permutations(g, "rotation")
+    perms = symmetry_edge_permutations(g, "rotation")  # the vertex-map reference
     # orbit sizes divide n, members partition the matchings, orbits are closed
     assert sum(o.size for o in orbits) == len(matchings)
     seen = set()

@@ -19,23 +19,22 @@ from gpforce.forcing import (
     is_forcing,
     max_disjoint_alternating_cycles,
 )
-from gpforce.graphs import build_gp, symmetry_edge_permutations
+from gpforce.graphs import build_gp, symmetry_images
 from gpforce.matchings import (
     count_matchings_containing,
     enumerate_perfect_matchings,
     is_perfect_matching,
     iter_bits,
-    permute_edge_set,
 )
 
 _GRAPH_CACHE = {}
 
 
-def graph_and_matchings(n):
-    if n not in _GRAPH_CACHE:
-        g = build_gp(n, 2)
-        _GRAPH_CACHE[n] = (g, enumerate_perfect_matchings(g))
-    return _GRAPH_CACHE[n]
+def graph_and_matchings(n, k=2):
+    if (n, k) not in _GRAPH_CACHE:
+        g = build_gp(n, k)
+        _GRAPH_CACHE[n, k] = (g, enumerate_perfect_matchings(g))
+    return _GRAPH_CACHE[n, k]
 
 
 def random_subset(rng, m):
@@ -111,13 +110,16 @@ def test_no_smaller_subset_forces(n):
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
-    n=st.integers(min_value=5, max_value=9),
-    j=st.integers(min_value=0, max_value=8),
+    nk=st.sampled_from(
+        [(5, 2), (6, 2), (7, 2), (8, 2), (9, 2), (7, 3), (7, 5), (9, 4), (11, 7), (13, 8)]
+    ),
+    j=st.integers(min_value=0, max_value=25),
 )
-def test_rotation_preserves_matchings_and_forcing(data, n, j):
-    g, ms = graph_and_matchings(n)
+def test_rotation_preserves_matchings_and_forcing(data, nk, j):
+    # every dihedral image, the rotations (j < n) and the reflections (j >= n)
+    g, ms = graph_and_matchings(*nk)
     m = data.draw(st.sampled_from(ms))
-    image = permute_edge_set(m, symmetry_edge_permutations(g, "rotation")[j % n])
+    image = symmetry_images(g, "dihedral")(m)[j % (2 * nk[0])]
     assert is_perfect_matching(g, image)
     assert image in set(ms)
     assert (

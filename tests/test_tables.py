@@ -6,6 +6,7 @@ import pytest
 
 from conftest import assert_no_children
 from gpforce import tables
+from gpforce.graphs import DomainError
 from gpforce.tables import (
     PUBLISHED_MATCHING_COUNTS,
     PUBLISHED_ORBIT_ROWS,
@@ -79,6 +80,18 @@ def test_verify_range_subset():
     checks = verify_published_tables(ns=range(5, 8))
     assert [c.n for c in checks] == [5, 6, 7]
     assert all(c.ok for c in checks)
+    # an iterator is read once, by the range check and the tables alike
+    assert [c.n for c in verify_published_tables(ns=iter([5, 6]))] == [5, 6]
+
+
+@pytest.mark.parametrize("ns", [[16], [4, 5], [5, 6, 16]])
+def test_verify_rejects_unpublished_n_before_computing(monkeypatch, ns):
+    def no_table(n, engine):
+        raise AssertionError(f"table {n} computed")
+
+    monkeypatch.setattr(tables, "check_table", no_table)
+    with pytest.raises(DomainError, match=r"published tables cover n = 5\.\.15"):
+        verify_published_tables(ns)
 
 
 @pytest.mark.parametrize("engine", ["hitting_set", "subset_search", "both"])
