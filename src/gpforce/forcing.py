@@ -4,9 +4,13 @@ A subset S of a perfect matching M is a forcing set when no other perfect
 matching contains S; f(G, M) is the smallest size of such a subset. The two
 engines here must always agree:
 
-  * subset search: scan subsets of M by size and test each one directly
-    against every other perfect matching, forcing iff none contains it (the
-    definition, executed literally);
+  * subset search: the definition, read against every other perfect
+    matching o. S forces M iff S meets M & ~q for every inclusion-maximal
+    overlap q = o & M. A depth-first walk tries subsets by size, then in
+    lexicographic order, and cuts a branch when an unmet set lies wholly
+    below the next edge it may pick, or when more pairwise disjoint unmet
+    sets remain than picks. Neither cut drops a forcing subset, so the
+    witness is the plain scan's first success;
   * hitting set: S forces M exactly when S meets the matched edges of every
     M-alternating cycle, so f(G, M) is the minimum transversal of those
     cycles, found by branch and bound.
@@ -41,14 +45,13 @@ import pickle
 import signal
 import traceback
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import DomainError, Graph
 from .matchings import (
     count_matchings_containing,
-    enumerate_perfect_matchings,
     is_perfect_matching,
     iter_bits,
+    perfect_matchings,
 )
 
 
@@ -215,7 +218,8 @@ def is_forcing(g: Graph, m: int, s: int, criterion: str = "uniqueness") -> bool:
 
 
 def _greedy_disjoint_count(masks) -> int:
-    # pairwise matched-edge-disjoint cycles need pairwise distinct hits
+    # pairwise disjoint masks need pairwise distinct hits, so this many
+    # edges at least meet them all
     used = 0
     count = 0
     for cm in masks:
@@ -300,28 +304,33 @@ def forcing_number_by_hitting_set(
     return result
 
 
-def _perfect_matchings(g: Graph) -> list[int]:
-    """All perfect matchings of g, enumerated once and memoized on the graph."""
-    ms = getattr(g, "_perfect_matchings", None)
-    if ms is None:
-        ms = g._perfect_matchings = enumerate_perfect_matchings(g)
-    return ms
-
-
 def forcing_number_by_subset_search(g: Graph, m: int) -> ForcingResult:
     """f(g, m) straight from the definition.
 
-    For k = 0, 1, ... try every k-subset of m in lexicographic order by edge
-    index; a subset forces iff no other perfect matching contains it.
-    Returns the first success. k = 0 covers graphs whose matching is already
-    unique. Each other matching o is reduced to its overlap o & m, and only
-    the inclusion-maximal overlaps are kept: a subset of m lies in some other
-    matching iff it lies in one of those.
+    A subset of m forces iff no other perfect matching contains it. Each
+    other matching o is reduced to its overlap o & m, and only the
+    inclusion-maximal overlaps q are kept: a subset of m lies in some other
+    matching iff it lies in one of those, so it forces iff it meets every
+    set m & ~q. k = 0 covers graphs whose matching is already unique.
+
+    For k = 0, 1, ... in turn, the subsets of at most k edges of m are
+    walked depth first in lexicographic order by edge index, and the first
+    that meets every set is returned; no smaller k succeeded, so it has k
+    edges. k starts at the greedy count of pairwise disjoint sets instead
+    of 0: each of those needs an edge of its own, so no smaller k succeeds.
+    A branch is cut
+      * when an unmet set lies wholly below the next edge it may pick, since
+        every later pick misses that set, and
+      * when the greedy count of pairwise disjoint unmet sets exceeds the
+        picks left, since each of them needs a pick of its own.
+    Neither cut removes a k-subset that meets every set, and the walk visits
+    the rest in the scan's order. So the answer, witness included, is the
+    first success of the plain scan over every k-subset for k = 0, 1, ...
     """
     if not is_perfect_matching(g, m):
         raise DomainError("not a perfect matching of this graph")
     overlaps = sorted(
-        {o & m for o in _perfect_matchings(g) if o != m},
+        {o & m for o in perfect_matchings(g) if o != m},
         key=int.bit_count,
         reverse=True,
     )
@@ -330,12 +339,30 @@ def forcing_number_by_subset_search(g: Graph, m: int) -> ForcingResult:
         if all(q & ~p for p in maximal):
             maximal.append(q)
     bits = [1 << e for e in iter_bits(m)]
-    for k in range(len(bits) + 1):
-        for combo in combinations(bits, k):
-            s = sum(combo)
-            if all(s & ~q for q in maximal):
-                return ForcingResult(k, s)
-    raise AssertionError("unreachable: a matching always forces itself")
+
+    def first(start: int, left: int, chosen: int, unmet: list[int]) -> int | None:
+        # chosen plus the lexicographically first set of at most `left`
+        # edges from bits[start:] that meets every set in `unmet`, or None
+        if not unmet:
+            return chosen
+        if _greedy_disjoint_count(unmet) > left:
+            return None
+        lowest = min(unmet)  # of the unmet sets, the one with the lowest top edge
+        for p in range(start, len(bits)):
+            bit = bits[p]
+            if bit > lowest:  # `lowest` lies wholly below every later pick
+                return None
+            rest = [d for d in unmet if not d & bit]
+            found = first(p + 1, left - 1, chosen | bit, rest)
+            if found is not None:
+                return found
+        return None
+
+    sets = [m & ~q for q in maximal]  # smallest first
+    k = _greedy_disjoint_count(sets)
+    while (witness := first(0, k, 0, sets)) is None:
+        k += 1
+    return ForcingResult(k, witness)
 
 
 def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, ...]:

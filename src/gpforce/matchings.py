@@ -75,6 +75,15 @@ def enumerate_perfect_matchings(g: Graph) -> list[int]:
     return sorted(_completions(g, 0))
 
 
+def perfect_matchings(g: Graph) -> list[int]:
+    """enumerate_perfect_matchings(g), enumerated once and memoized on the
+    graph; callers share the list and must not change it."""
+    ms = getattr(g, "_perfect_matchings", None)
+    if ms is None:
+        ms = g._perfect_matchings = enumerate_perfect_matchings(g)
+    return ms
+
+
 def _edge_ids(g: Graph, s: int):
     """iter_bits(s); DomainError when s is negative or names an edge index
     that g does not have (iter_bits would never end on a negative int)."""

@@ -21,7 +21,10 @@ from fractions import Fraction
 
 from .forcing import forcing_numbers_map
 from .graphs import DomainError, Graph, symmetry_images
-from .matchings import edge_indices, enumerate_perfect_matchings, matching_text
+from .matchings import edge_indices, matching_text, perfect_matchings
+
+# unused here since analyze reads the memo, but bench/tracing.py patches it
+from .matchings import enumerate_perfect_matchings  # noqa: F401
 
 
 class OrbitInconsistency(RuntimeError):
@@ -122,13 +125,16 @@ def analyze(g: Graph, engine: str = "hitting_set", jobs: int = 1) -> list[Orbit]
     and compute each orbit's forcing number with the chosen engine ("both"
     cross-checks).
 
+    The matchings are memoized on g (matchings.perfect_matchings) before
+    the fan-out, so the subset search in every process reads this list.
+
     The engine runs once per orbit, on its smallest member, and `jobs`
     processes, this one included, share those representatives. A graph
     without gp_params gets the identity group, so each of its matchings is
     its own orbit. Returns the orbits sorted by representative;
     orbit_polynomial tallies them into the forcing polynomial.
     """
-    matchings = enumerate_perfect_matchings(g)
+    matchings = perfect_matchings(g)
     images = symmetry_images(g, "dihedral") if g.gp_params else lambda m: [m]
     orbits = list(_orbits(matchings, images))
     results = forcing_numbers_map(g, [o[0] for o in orbits], engine=engine, jobs=jobs)

@@ -336,10 +336,8 @@ def test_orbit_inconsistency_exits_3(monkeypatch, capsys):
     # outside the list that analyze partitions
     import gpforce.polynomial as polynomial_mod
 
-    real = polynomial_mod.enumerate_perfect_matchings
-    monkeypatch.setattr(
-        polynomial_mod, "enumerate_perfect_matchings", lambda g: real(g)[:-1]
-    )
+    real = polynomial_mod.perfect_matchings
+    monkeypatch.setattr(polynomial_mod, "perfect_matchings", lambda g: real(g)[:-1])
     for argv in (
         ("poly", "--n", "5"),
         ("orbits", "--n", "7", "--group", "dihedral"),

@@ -320,6 +320,32 @@ def test_subset_search_matches_count_based_search():
             ), (g, m)
 
 
+def overlap_scan(g, m):
+    # reference search: every k-subset of m in lexicographic order, tested
+    # against the inclusion-maximal overlaps of the other matchings with m,
+    # with no cut and no lower bound on k
+    overlaps = {o & m for o in enumerate_perfect_matchings(g) if o != m}
+    maximal = [q for q in overlaps if not any(q != p and q & ~p == 0 for p in overlaps)]
+    medges = [1 << e for e in iter_bits(m)]
+    for k in range(len(medges) + 1):
+        for combo in combinations(medges, k):
+            s = sum(combo)
+            if all(s & ~q for q in maximal):
+                return k, s
+    raise AssertionError("unreachable: a matching always forces itself")
+
+
+@pytest.mark.parametrize("n, k", [(n, 2) for n in range(15, 19)] + [(13, 5), (14, 3)])
+def test_subset_search_matches_overlap_scan_on_orbit_representatives(n, k):
+    # f and witness: the pruned search must stop at the scan's first success
+    g = build_gp(n, k)
+    ms = enumerate_perfect_matchings(g)
+    for orbit in reference_orbits(g, ms, [0] * len(ms), group="dihedral"):
+        m = orbit.representative
+        result = forcing_number_by_subset_search(g, m)
+        assert (result.forcing_number, result.witness) == overlap_scan(g, m), m
+
+
 def rescanning_packing(cycles):
     # reference packing: the same branch and bound, but every node rescans the
     # whole cycle list from its start index against the chosen vertex union

@@ -169,12 +169,12 @@ def test_analyze_detects_a_dropped_matching(gp52, monkeypatch):
     import gpforce.polynomial as polynomial_mod
 
     (big,) = [o for o in analyze(gp52) if o.size == 5]
-    real = polynomial_mod.enumerate_perfect_matchings
+    real = polynomial_mod.perfect_matchings
 
     def dropping(g):
         return [m for m in real(g) if m != big.members[2]]
 
-    monkeypatch.setattr(polynomial_mod, "enumerate_perfect_matchings", dropping)
+    monkeypatch.setattr(polynomial_mod, "perfect_matchings", dropping)
     with pytest.raises(OrbitInconsistency):
         analyze(gp52)
 
@@ -255,6 +255,29 @@ def test_forcing_numbers_map_starts_no_more_workers_than_matchings(monkeypatch):
     ms = enumerate_perfect_matchings(g)
     assert forcing_numbers_map(g, ms, jobs=3) == forcing_numbers_map(g, ms)
     assert len(forks) + 1 == 3
+
+
+def test_analyze_enumerates_the_matchings_once(monkeypatch):
+    # the subset search reads the list that analyze memoized on the graph,
+    # in this process and in the forked workers, which inherit it
+    import gpforce.matchings as matchings_mod
+
+    parent = os.getpid()
+    calls = []
+    real = matchings_mod.enumerate_perfect_matchings
+
+    def counted(g):
+        if os.getpid() != parent:
+            raise AssertionError("a worker enumerated the matchings again")
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(matchings_mod, "enumerate_perfect_matchings", counted)
+    for jobs in (1, 2):  # GP(12,2) has 8 representatives, so jobs=2 forks
+        orbits = analyze(build_gp(12, 2), engine="both", jobs=jobs)
+        assert orbit_polynomial(orbits).coeffs == {3: 51, 2: 3}
+        assert_no_children()
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
