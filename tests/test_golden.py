@@ -4,8 +4,9 @@
 what it printed to stdout. The calls cover every subcommand and format on
 GP(n,2) for n = 5..12 (single-matching commands on the first, middle and last
 matching), `poly --orbits` and dihedral `orbits` on GP(n,2) for n = 13..24,
-a few k != 2 graphs (dihedral orbits included, also for k > n/2) and
-verify-paper. A refactor must leave every entry unchanged; rewrite the file,
+rotation `orbits` on GP(n,2) for n = 25..28, a few k != 2 graphs (dihedral
+orbits included, also for k > n/2), rotation `orbits` on GP(n,k) for every k
+of n = 14..16, and verify-paper. A refactor must leave every entry unchanged; rewrite the file,
 with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -66,6 +67,9 @@ def cases() -> list[list[str]]:
         out.append(
             ["orbits", *gp, "--group", "dihedral", "--format", "csv", "--threads", "1"]
         )
+    # rotation orbit tables beyond the paper's range
+    for n in range(25, 29):
+        out.append(["orbits", "--n", str(n), "--format", "csv", "--threads", "1"])
     for n, k in ((7, 3), (9, 4), (11, 3)):
         gp = ["--n", str(n), "--k", str(k)]
         out += [["graph", *gp], ["matchings", *gp]]
@@ -76,6 +80,15 @@ def cases() -> list[list[str]]:
     for n, k in ((7, 3), (9, 4), (11, 3), (13, 5), (14, 3), (7, 5), (11, 7), (13, 8)):
         gp = ["--n", str(n), "--k", str(k), "--group", "dihedral", "--threads", "1"]
         out += [["poly", *gp, "--orbits"], ["orbits", *gp, "--format", "json"]]
+    # rotation orbits of every k, gcd(n, k) > 1 and k > n/2 included: the
+    # rotation split reads the reflections' k-dependent block offsets
+    for n in (14, 15, 16):
+        for k in range(1, n):
+            if 2 * k != n:
+                out.append(
+                    ["orbits", "--n", str(n), "--k", str(k), "--format", "json",
+                     "--threads", "1"]
+                )
     out += [["verify-paper", "--format", f, "--threads", "1"] for f in ("table", "json")]
     # domain errors: exit 2 with nothing on stdout
     out += [
