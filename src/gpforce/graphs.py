@@ -10,8 +10,8 @@ v_i is n + i. Every edge carries a canonical index shared by all other modules:
 with subscripts mod n. This fixed [inner | spokes | outer] layout keeps
 matching encodings, orbit representatives, and golden outputs reproducible.
 Every rotation and reflection of GP(n, k) maps each of the three n-bit blocks
-onto itself, so symmetry_images acts on an edge-set int block by block, by
-n-bit rotations and reversals, without an edge-permutation table.
+onto itself, so symmetry_images gives an edge-set int's 2n dihedral images,
+the rotations first, by n-bit rotations and reversals of the blocks.
 """
 
 from __future__ import annotations
@@ -197,21 +197,20 @@ def validate(g: Graph) -> list[str]:
     return problems
 
 
-def symmetry_images(g: Graph, group: str = "rotation"):
-    """The chosen symmetry group as a function from an edge set to the list
-    of its images, one per group element.
+def symmetry_images(g: Graph):
+    """GP(n, k)'s dihedral group as a function from an edge set to the list
+    of its 2n images, one per group element.
 
-    "rotation" gives u_i -> u_{i+j}, v_i -> v_{i+j} for j = 0..n-1, in that
-    order; "dihedral" appends the reflections u_i -> u_{j-i}, v_i -> v_{j-i}.
-    Each acts on the [inner | spokes | outer] blocks of the edge set as block
-    rotations: the rotation by j rotates every block left by j, and the
-    reflection by j reverses every block, rotates the inner block by 1 - k
-    and the spokes by 1, then rotates every block by j.
+    The first n are the rotations u_i -> u_{i+j}, v_i -> v_{i+j} for
+    j = 0..n-1, in that order, and the last n the reflections
+    u_i -> u_{j-i}, v_i -> v_{j-i}. Each acts on the [inner | spokes | outer]
+    blocks of the edge set as block rotations: the rotation by j rotates
+    every block left by j, and the reflection by j reverses every block,
+    rotates the inner block by 1 - k and the spokes by 1, then rotates every
+    block by j.
     """
     if g.gp_params is None:
         raise DomainError("symmetry groups are only defined for GP graphs")
-    if group not in ("rotation", "dihedral"):
-        raise DomainError(f"unknown symmetry group {group!r}")
     n, k = g.gp_params
     block = (1 << n) - 1
     ones = 1 | 1 << n | 1 << 2 * n  # bit 0 of every block
@@ -222,16 +221,13 @@ def symmetry_images(g: Graph, group: str = "rotation"):
     def rotations(s):
         return [(s & low) << j | (s >> n - j) & high for j, low, high in masks]
 
-    if group == "rotation":
-        return rotations
-
     def rotate(x, j):
         return (x << j | x >> n - j) & block
 
-    def reflections(s):
+    def images(s):
         bits = f"{s:0{3 * n}b}"[::-1]  # bit i of s at position i
         inner, spokes, outer = (int(bits[b * n:(b + 1) * n], 2) for b in range(3))
         turned = rotate(inner, (1 - k) % n) | rotate(spokes, 1) << n | outer << 2 * n
-        return rotations(turned)
+        return rotations(s) + rotations(turned)
 
-    return lambda s: rotations(s) + reflections(s)
+    return images

@@ -41,14 +41,14 @@ def _completions(g: Graph, covered: int):
 
     Vertices are walked in ring order u0, v0, u1, v1, ... (index order for
     graphs without gp_params), relabelled once so that the next vertex to
-    branch on is the lowest uncovered bit.
+    branch on is the lowest uncovered bit. A self-loop is never taken.
     """
     order = range(g.num_vertices)
     if g.gp_params is not None:
         n = g.gp_params[0]
         order = [v for i in range(n) for v in (i, n + i)]
     pos = {v: p for p, v in enumerate(order)}
-    adj = [[(1 << pos[w], 1 << eid) for eid, w in g.incident[v]] for v in order]
+    adj = [[(1 << pos[w], 1 << e) for e, w in g.incident[v] if w != v] for v in order]
     full = g.full_vertex_mask
     stack = [(sum(1 << pos[v] for v in iter_bits(covered)), 0)]
     while stack:
@@ -94,13 +94,15 @@ def _edge_ids(g: Graph, s: int):
 
 def covered_vertices(g: Graph, s: int) -> int:
     """Vertex mask covered by edge set s; DomainError when s is not a set of
-    g's edges, two edges share a vertex or an edge has an endpoint outside the
-    graph (see graphs.validate)."""
+    g's edges, two edges share a vertex, or an edge is a self-loop or has an
+    endpoint outside the graph (see graphs.validate)."""
     covered = 0
     for eid in _edge_ids(g, s):
         a, b = g.edges[eid]
         if a < 0 or b >= g.num_vertices:  # edges are stored with a <= b
             raise DomainError(f"edge {eid} endpoint out of range: ({a}, {b})")
+        if a == b:
+            raise DomainError(f"edge {eid} is a self-loop at vertex {g.vertex_name(a)}")
         bits = (1 << a) | (1 << b)
         if covered & bits:
             raise DomainError(

@@ -11,7 +11,7 @@ u_i -> u_{j-i}, v_i -> v_{j-i}), and returns those orbits. Every member of an
 orbit shares one forcing number because the maps are graph automorphisms, so
 the engine runs once per orbit. A graph without gp_params has only the
 identity map, and each of its matchings is an orbit of its own. Rotation
-orbit tables split each dihedral orbit into its one or two rotation orbits.
+orbit tables split each dihedral orbit from its smallest member alone.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ def _orbits(matchings, images):
     given as `images`, the function from an edge set to the list of its images
     under every group element (see graphs.symmetry_images).
 
-    Yields each orbit as the ascending tuple of its members, in ascending
-    order of its smallest member. Raises OrbitInconsistency if an image falls
-    outside `matchings`.
+    Yields each orbit as (smallest member, size), in ascending order: the
+    first unseen matching is its orbit's minimum, as the matchings ascend.
+    Raises OrbitInconsistency if an image falls outside `matchings`.
     """
     unseen = set(matchings)
     for m in matchings:
@@ -117,7 +117,7 @@ def _orbits(matchings, images):
                 " matchings partitioned"
             )
         unseen -= orbit
-        yield tuple(sorted(orbit))
+        yield m, len(orbit)
 
 
 def analyze(g: Graph, engine: str = "hitting_set", jobs: int = 1) -> list[Orbit]:
@@ -131,17 +131,14 @@ def analyze(g: Graph, engine: str = "hitting_set", jobs: int = 1) -> list[Orbit]
     The engine runs once per orbit, on its smallest member, and `jobs`
     processes, this one included, share those representatives. A graph
     without gp_params gets the identity group, so each of its matchings is
-    its own orbit. Returns the orbits sorted by representative;
-    orbit_polynomial tallies them into the forcing polynomial.
+    its own orbit. Returns the orbits, without members, sorted by
+    representative; orbit_polynomial tallies them into the polynomial.
     """
     matchings = perfect_matchings(g)
-    images = symmetry_images(g, "dihedral") if g.gp_params else lambda m: [m]
+    images = symmetry_images(g) if g.gp_params else lambda m: [m]
     orbits = list(_orbits(matchings, images))
-    results = forcing_numbers_map(g, [o[0] for o in orbits], engine=engine, jobs=jobs)
-    return [
-        Orbit(members[0], len(members), r.forcing_number, members)
-        for members, r in zip(orbits, results)
-    ]
+    results = forcing_numbers_map(g, [m for m, _ in orbits], engine=engine, jobs=jobs)
+    return [Orbit(m, size, r.forcing_number) for (m, size), r in zip(orbits, results)]
 
 
 def report_json(g: Graph, poly: ForcingPolynomial, orbits=None) -> dict:
@@ -171,15 +168,13 @@ class Orbit:
     """A symmetry-equivalence class of perfect matchings.
 
     representative is the smallest bit-encoding over the whole orbit; size is
-    the matching count of the class (the PMC table column), forcing_number
-    its common forcing number (the FN column) and members the ascending tuple
-    of its matchings.
+    the matching count of the class (the PMC table column) and
+    forcing_number its common forcing number (the FN column).
     """
 
     representative: int
     size: int
     forcing_number: int
-    members: tuple[int, ...]
 
 
 def matching_orbits(
@@ -187,21 +182,28 @@ def matching_orbits(
 ) -> list[Orbit]:
     """The orbits of the chosen symmetry group, from analyze's dihedral orbits.
 
-    "dihedral" returns `orbits` unchanged; "rotation" splits each one into
-    its rotation orbits by the same _orbits that analyze partitions with, and
-    they keep its forcing number. Orbits come back sorted by representative.
-    Raises DomainError for a graph without gp_params or an unknown group, and
-    OrbitInconsistency if a rotation image leaves its dihedral orbit, which
-    would mean a bug upstream.
+    "dihedral" returns `orbits` unchanged. "rotation" splits each from its
+    representative r: the rotations have index 2, so a dihedral orbit is one
+    rotation orbit, or two equal ones that a reflection swaps. The reflection
+    images of r form one rotation orbit; its minimum, the mirror, is r or the
+    other piece's representative. Pieces keep the forcing number, sorted by
+    representative. Raises DomainError for a non-GP graph or an unknown
+    group, and OrbitInconsistency for a piece whose size does not divide n.
     """
-    images = symmetry_images(g, group)
+    images = symmetry_images(g)
+    if group not in ("rotation", "dihedral"):
+        raise DomainError(f"unknown symmetry group {group!r}")
     if group == "dihedral":
         return orbits
-    pieces = [
-        Orbit(members[0], len(members), o.forcing_number, members)
-        for o in orbits
-        for members in _orbits(o.members, images)
-    ]
+    n = g.gp_params[0]
+    pieces = []
+    for o in orbits:
+        mirror = min(images(o.representative)[n:])
+        reps = {o.representative, mirror}
+        size, rest = divmod(o.size, len(reps))
+        if rest or n % size:
+            raise OrbitInconsistency(f"{o} does not split into rotation orbits of {g}")
+        pieces += [Orbit(r, size, o.forcing_number) for r in reps]
     return sorted(pieces, key=lambda o: o.representative)
 
 

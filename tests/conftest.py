@@ -184,7 +184,8 @@ def reference_orbits(g: Graph, matchings, fns, group: str = "rotation") -> list[
     pairs, which are looked up in the edge table again; no symmetry or
     partition code of the library is used. Asserts that every image is in
     `matchings` and that each orbit's members agree on `fns` (aligned with
-    `matchings`). Orbits come sorted by representative.
+    `matchings`). Orbits come sorted by representative, as
+    Orbit(representative, size, forcing number).
     """
     perms = symmetry_edge_permutations(g, group)
     fn_of = dict(zip(matchings, fns))
@@ -198,5 +199,5 @@ def reference_orbits(g: Graph, matchings, fns, group: str = "rotation") -> list[
         fs = {fn_of[x] for x in members}
         assert len(fs) == 1, f"the orbit of {m:#x} carries forcing numbers {fs}"
         seen.update(members)
-        orbits.append(Orbit(members[0], len(members), fs.pop(), members))
+        orbits.append(Orbit(members[0], len(members), fs.pop()))
     return orbits

@@ -13,6 +13,7 @@ from conftest import (
 )
 from gpforce.graphs import DomainError, Graph, build_gp, symmetry_images, validate
 from gpforce.matchings import enumerate_perfect_matchings
+from gpforce.polynomial import matching_orbits
 
 
 def test_gp52_shape(gp52):
@@ -98,10 +99,20 @@ def arithmetic_rotation(n: int, eid: int, j: int) -> int:
     return cls * n + (i + j) % n
 
 
+def group_images(g: Graph, group: str):
+    """symmetry_images(g) cut to the group: the rotations are its first n
+    images."""
+    images = symmetry_images(g)
+    if group == "rotation":
+        n = g.gp_params[0]
+        return lambda s: images(s)[:n]
+    return images
+
+
 def image_tables(g: Graph, group: str) -> list[tuple[int, ...]]:
     """The edge permutation of each group element, read off the images of
     single edges under symmetry_images."""
-    images = symmetry_images(g, group)
+    images = group_images(g, group)
     columns = [images(1 << e) for e in range(g.num_edges)]
     assert all(x.bit_count() == 1 for col in columns for x in col)
     return [
@@ -110,7 +121,7 @@ def image_tables(g: Graph, group: str) -> list[tuple[int, ...]]:
 
 
 def test_rotation_identity_and_shift(gp52):
-    rotations = symmetry_images(gp52, "rotation")
+    rotations = group_images(gp52, "rotation")
     assert rotations(1 << 7)[0] == 1 << 7
     assert rotations(1 << 0)[1] == 1 << 1     # inner i=0 -> i=1
     assert rotations(1 << 14)[1] == 1 << 10   # outer i=4 wraps to i=0
@@ -118,9 +129,8 @@ def test_rotation_identity_and_shift(gp52):
 
 
 def test_rotation_requires_gp(k2):
-    for group in ("rotation", "dihedral"):
-        with pytest.raises(DomainError, match="only defined for GP graphs"):
-            symmetry_images(k2, group)
+    with pytest.raises(DomainError, match="only defined for GP graphs"):
+        symmetry_images(k2)
 
 
 def test_rotations_match_index_arithmetic():
@@ -193,7 +203,7 @@ def test_dihedral_group_is_closed(n, k):
 )
 def test_block_images_match_vertex_maps(n, k, group):
     g = build_gp(n, k)
-    images = symmetry_images(g, group)
+    images = group_images(g, group)
     rng = random.Random(n * 100 + k)
     ms = enumerate_perfect_matchings(g)
     sample = [0, (1 << g.num_edges) - 1, *rng.sample(ms, min(len(ms), 8))]
@@ -210,10 +220,12 @@ def test_non_automorphism_vertex_map_raises(gp52):
 
 
 def test_symmetry_group_sizes(gp52):
-    assert len(symmetry_images(gp52, "rotation")(1)) == 5
+    assert len(symmetry_images(gp52)(1)) == 10
+    assert len(image_tables(gp52, "rotation")) == 5
     assert len(set(image_tables(gp52, "dihedral"))) == 10
+    # matching_orbits is the one function that still takes a group
     with pytest.raises(DomainError, match="unknown symmetry group 'frieze'"):
-        symmetry_images(gp52, "frieze")
+        matching_orbits(gp52, [], group="frieze")
 
 
 def test_dot_export(gp52):

@@ -152,6 +152,22 @@ def test_endpoint_out_of_range_is_a_domain_error(edges):
     assert is_perfect_matching(g, 2)
 
 
+def test_a_self_loop_is_never_a_matching_edge():
+    # validate reports the loop; a vertex must not be matched to itself
+    from gpforce.polynomial import analyze
+
+    g = Graph.from_edges(3, [(0, 0), (1, 2)])
+    assert enumerate_perfect_matchings(g) == []
+    assert not is_perfect_matching(g, 3)
+    for call in (covered_vertices, count_matchings_containing):
+        with pytest.raises(DomainError, match="self-loop at vertex 0"):
+            call(g, 1)
+    assert count_matchings_containing(g, 2) == 0
+    assert analyze(g) == []
+    # next to a real edge at the same vertex, the loop is skipped
+    assert enumerate_perfect_matchings(Graph.from_edges(2, [(0, 0), (0, 1)])) == [2]
+
+
 @pytest.mark.parametrize("s", [1 << 15, 1 << 100, -1, -(1 << 15)], ids=hex)
 def test_edge_set_outside_the_graph_is_a_domain_error(gp52, s):
     # GP(5,2) has edges 0..14; a negative int has infinitely many set bits

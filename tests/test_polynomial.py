@@ -11,9 +11,8 @@ import pytest
 from conftest import (
     assert_no_children,
     cycle_graph,
-    permute_edge_set,
+    reference_images,
     reference_orbits,
-    symmetry_edge_permutations,
 )
 from gpforce.cli import main as cli_main
 from gpforce.forcing import EngineMismatch, ForcingResult, forcing_numbers_map
@@ -133,25 +132,41 @@ def test_gp12_orbit_multiset():
     )
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
-def test_orbit_invariants(n):
-    g = build_gp(n, 2)
+def orbit_members(g, orbit, group):
+    """The members of an orbit, rebuilt from its representative by the
+    vertex-map reference (conftest.reference_images)."""
+    return set(reference_images(g, group, orbit.representative))
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [
+        pytest.param(n, k, id=str(n) if k == 2 else f"{n}-{k}")  # GP(n,2) ids stay bare
+        for n in range(5, 15)
+        for k in range(1, n)
+        if 2 * k != n
+    ],
+)
+def test_orbit_invariants(n, k):
+    g = build_gp(n, k)
     matchings = enumerate_perfect_matchings(g)
     dihedral = analyze(g)
     orbits = matching_orbits(g, dihedral, group="rotation")
-    perms = symmetry_edge_permutations(g, "rotation")  # the vertex-map reference
-    # orbit sizes divide n, members partition the matchings, orbits are closed
+    # orbit sizes divide n, members partition the matchings, and each orbit
+    # is the rotation orbit of its representative, which is its smallest member
     assert sum(o.size for o in orbits) == len(matchings)
     seen = set()
     for o in orbits:
-        assert n % o.size == 0
-        assert o.representative == min(o.members)
-        assert not seen & set(o.members)
-        seen.update(o.members)
-        for member in o.members:
-            for p in perms:
-                assert permute_edge_set(member, p) in o.members
+        members = orbit_members(g, o, "rotation")
+        assert n % o.size == 0 and len(members) == o.size
+        assert o.representative == min(members)
+        assert not seen & members
+        seen.update(members)
     assert seen == set(matchings)
+    reference = reference_orbits(g, matchings, [0] * len(matchings), group="rotation")
+    assert [(o.representative, o.size) for o in orbits] == [
+        (o.representative, o.size) for o in reference
+    ]
     # per-exponent orbit sizes reassemble the polynomial
     assert orbit_polynomial(orbits).coeffs == orbit_polynomial(dihedral).coeffs
 
@@ -169,10 +184,11 @@ def test_analyze_detects_a_dropped_matching(gp52, monkeypatch):
     import gpforce.polynomial as polynomial_mod
 
     (big,) = [o for o in analyze(gp52) if o.size == 5]
+    dropped = sorted(orbit_members(gp52, big, "dihedral"))[2]
     real = polynomial_mod.perfect_matchings
 
     def dropping(g):
-        return [m for m in real(g) if m != big.members[2]]
+        return [m for m in real(g) if m != dropped]
 
     monkeypatch.setattr(polynomial_mod, "perfect_matchings", dropping)
     with pytest.raises(OrbitInconsistency):
@@ -181,7 +197,7 @@ def test_analyze_detects_a_dropped_matching(gp52, monkeypatch):
 
 def test_rotation_split_detects_an_orbit_not_closed_under_rotation(gp52):
     (big,) = [o for o in analyze(gp52) if o.size == 5]
-    cut = Orbit(big.representative, 4, big.forcing_number, big.members[:4])
+    cut = Orbit(big.representative, 4, big.forcing_number)
     with pytest.raises(OrbitInconsistency):
         matching_orbits(gp52, [cut], group="rotation")
     # the dihedral group is analyze's own, so its orbits pass unchanged
@@ -305,7 +321,7 @@ def test_analyze_without_gp_params_runs_every_matching(g, monkeypatch):
     monkeypatch.setattr(polynomial_mod, "forcing_numbers_map", recorded)
     orbits = analyze(g)
     assert len(ms) > 1 and reps == ms
-    assert orbits == [Orbit(m, 1, f, (m,)) for m, f in zip(ms, reference)]
+    assert orbits == [Orbit(m, 1, f) for m, f in zip(ms, reference)]
     assert orbit_polynomial(orbits).coeffs == Counter(reference)
 
 
@@ -333,9 +349,12 @@ def test_analyze_copies_agree_with_per_matching_results(n, k, per_matching):
     g, ms, reference = per_matching(n, k)
     orbits = analyze(g)
     fn_of = dict(zip(ms, reference))
-    assert sorted(m for o in orbits for m in o.members) == ms
+    covered = []
     for o in orbits:
-        assert all(fn_of[m] == o.forcing_number for m in o.members), o
+        members = orbit_members(g, o, "dihedral")
+        assert all(fn_of[m] == o.forcing_number for m in members), o
+        covered += members
+    assert sorted(covered) == ms
     assert orbits == reference_orbits(g, ms, reference, group="dihedral")
     assert orbit_polynomial(orbits).coeffs == Counter(reference)
 

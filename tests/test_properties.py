@@ -119,7 +119,7 @@ def test_rotation_preserves_matchings_and_forcing(data, nk, j):
     # every dihedral image, the rotations (j < n) and the reflections (j >= n)
     g, ms = graph_and_matchings(*nk)
     m = data.draw(st.sampled_from(ms))
-    image = symmetry_images(g, "dihedral")(m)[j % (2 * nk[0])]
+    image = symmetry_images(g)(m)[j % (2 * nk[0])]
     assert is_perfect_matching(g, image)
     assert image in set(ms)
     assert (
