@@ -187,8 +187,8 @@ def matching_orbits(
     rotation orbit, or two equal ones that a reflection swaps. The reflection
     images of r form one rotation orbit; its minimum, the mirror, is r or the
     other piece's representative. Pieces keep the forcing number, sorted by
-    representative. Raises DomainError for a non-GP graph or an unknown
-    group, and OrbitInconsistency for a piece whose size does not divide n.
+    representative. DomainError: a non-GP graph or an unknown group.
+    OrbitInconsistency: a piece's size differs from r's rotation orbit.
     """
     images = symmetry_images(g)
     if group not in ("rotation", "dihedral"):
@@ -198,12 +198,12 @@ def matching_orbits(
     n = g.gp_params[0]
     pieces = []
     for o in orbits:
-        mirror = min(images(o.representative)[n:])
+        turned = images(o.representative)
+        mirror = min(turned[n:])
         reps = {o.representative, mirror}
-        size, rest = divmod(o.size, len(reps))
-        if rest or n % size:
+        if len(set(turned[:n])) * len(reps) != o.size:  # orbit-stabilizer
             raise OrbitInconsistency(f"{o} does not split into rotation orbits of {g}")
-        pieces += [Orbit(r, size, o.forcing_number) for r in reps]
+        pieces += [Orbit(r, o.size // len(reps), o.forcing_number) for r in reps]
     return sorted(pieces, key=lambda o: o.representative)
 
 

@@ -14,6 +14,7 @@ from gpforce.matchings import (
     matching_text,
     parse_matching,
 )
+from gpforce.polynomial import analyze
 
 
 def test_gp52_has_exactly_the_six_published_matchings(gp52, gp52_matchings):
@@ -154,8 +155,6 @@ def test_endpoint_out_of_range_is_a_domain_error(edges):
 
 def test_a_self_loop_is_never_a_matching_edge():
     # validate reports the loop; a vertex must not be matched to itself
-    from gpforce.polynomial import analyze
-
     g = Graph.from_edges(3, [(0, 0), (1, 2)])
     assert enumerate_perfect_matchings(g) == []
     assert not is_perfect_matching(g, 3)

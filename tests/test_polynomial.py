@@ -198,8 +198,11 @@ def test_analyze_detects_a_dropped_matching(gp52, monkeypatch):
 def test_rotation_split_detects_an_orbit_not_closed_under_rotation(gp52):
     (big,) = [o for o in analyze(gp52) if o.size == 5]
     cut = Orbit(big.representative, 4, big.forcing_number)
-    with pytest.raises(OrbitInconsistency):
-        matching_orbits(gp52, [cut], group="rotation")
+    # size 1 divides n, so only the size of the representative's rotation
+    # orbit rules it out
+    for orbit in (cut, Orbit(big.representative, 1, big.forcing_number)):
+        with pytest.raises(OrbitInconsistency):
+            matching_orbits(gp52, [orbit], group="rotation")
     # the dihedral group is analyze's own, so its orbits pass unchanged
     assert matching_orbits(gp52, [cut], group="dihedral") == [cut]
 
