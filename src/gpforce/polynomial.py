@@ -198,10 +198,10 @@ def matching_orbits(
     n = g.gp_params[0]
     pieces = []
     for o in orbits:
-        turned = images(o.representative)
-        mirror = min(turned[n:])
+        r_images = images(o.representative)
+        mirror = min(r_images[n:])
         reps = {o.representative, mirror}
-        if len(set(turned[:n])) * len(reps) != o.size:  # orbit-stabilizer
+        if len(set(r_images[:n])) * len(reps) != o.size:  # orbit-stabilizer
             raise OrbitInconsistency(f"{o} does not split into rotation orbits of {g}")
         pieces += [Orbit(r, o.size // len(reps), o.forcing_number) for r in reps]
     return sorted(pieces, key=lambda o: o.representative)
