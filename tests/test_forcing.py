@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    GP24_MANY_CYCLES,
     assert_no_children,
     brute_force_matchings,
     brute_forcing_number,
@@ -402,21 +403,6 @@ def node_bound_packing(cycles):
 
     grow(cycles, ())
     return best
-
-
-# the three dihedral orbit representatives of GP(24,2) with the most
-# alternating cycles, where the per-branch bound cuts the most
-GP24_MANY_CYCLES = {
-    2407: "u1-u3,u4-u6,u7-u9,u10-u12,u13-u15,u16-u18,u19-u21,u0-u22,u2-v2,u5-v5,"
-    "u8-v8,u11-v11,u14-v14,u17-v17,u20-v20,u23-v23,v0-v1,v3-v4,v6-v7,v9-v10,"
-    "v12-v13,v15-v16,v18-v19,v21-v22",
-    2406: "u1-u3,u2-u4,u5-u7,u6-u8,u9-u11,u10-u12,u13-u15,u14-u16,u17-u19,u18-u20,"
-    "u21-u23,u0-u22,v0-v1,v2-v3,v4-v5,v6-v7,v8-v9,v10-v11,v12-v13,v14-v15,"
-    "v16-v17,v18-v19,v20-v21,v22-v23",
-    1726: "u1-u3,u2-u4,u5-u7,u6-u8,u9-u11,u10-u12,u13-u15,u16-u18,u19-u21,u0-u22,"
-    "u14-v14,u17-v17,u20-v20,u23-v23,v0-v1,v2-v3,v4-v5,v6-v7,v8-v9,v10-v11,"
-    "v12-v13,v15-v16,v18-v19,v21-v22",
-}
 
 
 @pytest.mark.parametrize("n_cycles", sorted(GP24_MANY_CYCLES))

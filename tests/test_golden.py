@@ -3,11 +3,14 @@
 `golden_cli.json` lists each call's argv, its exit code and the sha256 of
 what it printed to stdout. The calls cover every subcommand and format on
 GP(n,2) for n = 5..12 (single-matching commands on the first, middle and last
-matching), `poly --orbits` and dihedral `orbits` on GP(n,2) for n = 13..24,
-rotation `orbits` on GP(n,2) for n = 25..28, a few k != 2 graphs (dihedral
-orbits included, also for k > n/2), rotation `orbits` on GP(n,k) for every k
-of n = 14..16, and verify-paper. A refactor must leave every entry unchanged; rewrite the file,
-with
+matching), the single-matching commands (`force` with every engine, `cycles`
+and `packing`, in table and json) on the three GP(24,2) matchings of
+GP24_MANY_CYCLES and on the first, middle and last matching of GP(26,2),
+`poly --orbits` and dihedral `orbits` on GP(n,2) for n = 13..24, rotation
+`orbits` on GP(n,2) for n = 25..28, a few k != 2 graphs (dihedral orbits
+included, also for k > n/2), rotation `orbits` on GP(n,k) for every k of
+n = 14..16, and verify-paper. A refactor must leave every entry unchanged;
+rewrite the file, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import GP24_MANY_CYCLES
 from gpforce.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -29,6 +33,16 @@ COMMANDS = (
 )
 ENGINES = ("cycles", "subsets", "both")
 GROUPS = ("rotation", "dihedral")
+
+
+def single_matching_calls(one: list[str]) -> list[list[str]]:
+    """force with each engine, cycles and packing, in table and json, on the
+    graph and matching that `one` names."""
+    out = []
+    for f in ("table", "json"):
+        out += [["force", *one, "--engine", e, "--format", f] for e in ENGINES]
+        out += [[cmd, *one, "--format", f] for cmd in ("cycles", "packing")]
+    return out
 
 
 def cases() -> list[list[str]]:
@@ -44,10 +58,7 @@ def cases() -> list[list[str]]:
         g = build_gp(n, 2)
         ms = enumerate_perfect_matchings(g)
         for m in (ms[0], ms[len(ms) // 2], ms[-1]):
-            one = [*gp, "--matching", matching_text(g, m)]
-            for f in ("table", "json"):
-                out += [["force", *one, "--engine", e, "--format", f] for e in ENGINES]
-                out += [[cmd, *one, "--format", f] for cmd in ("cycles", "packing")]
+            out += single_matching_calls([*gp, "--matching", matching_text(g, m)])
         for e in ENGINES:
             for f in ("table", "json"):
                 for grp in GROUPS:
@@ -67,6 +78,15 @@ def cases() -> list[list[str]]:
         out.append(
             ["orbits", *gp, "--group", "dihedral", "--format", "csv", "--threads", "1"]
         )
+    # single-matching commands where the cycle lists run to thousands: the
+    # GP(24,2) representatives with the most alternating cycles, and the
+    # first, middle and last matching of GP(26,2)
+    for text in GP24_MANY_CYCLES.values():
+        out += single_matching_calls(["--n", "24", "--matching", text])
+    g = build_gp(26, 2)
+    ms = enumerate_perfect_matchings(g)
+    for m in (ms[0], ms[len(ms) // 2], ms[-1]):
+        out += single_matching_calls(["--n", "26", "--matching", matching_text(g, m)])
     # rotation orbit tables beyond the paper's range
     for n in range(25, 29):
         out.append(["orbits", "--n", str(n), "--format", "csv", "--threads", "1"])
