@@ -37,9 +37,12 @@ import traceback
 
 from .forcing import (
     EngineMismatch,
+    alternating_cycle_keys,
     compute_forcing,
     enumerate_alternating_cycles,
+    key_vertex_sets,
     max_disjoint_alternating_cycles,
+    max_disjoint_vertex_sets,
 )
 from .graphs import DomainError, build_gp, validate
 from .matchings import (
@@ -227,9 +230,9 @@ def cmd_matchings(args, out) -> int:
 def cmd_force(args, out) -> int:
     g = build_gp(args.n, args.k)
     m = _parse_perfect_matching(g, args.matching)
-    cycles = enumerate_alternating_cycles(g, m)
-    result = compute_forcing(g, m, _ENGINES[args.engine], cycles)
-    packing = max_disjoint_alternating_cycles(cycles)
+    keys = alternating_cycle_keys(g, m)
+    result = compute_forcing(g, m, _ENGINES[args.engine], keys)
+    packing = max_disjoint_vertex_sets(key_vertex_sets(g, keys))
     if args.fmt == "json":
         out.write(
             _dumps(
@@ -238,7 +241,7 @@ def cmd_force(args, out) -> int:
                     "forcing_number": result.forcing_number,
                     "witness": edge_indices(result.witness),
                     "packing_size": len(packing),
-                    "n_alt_cycles": len(cycles),
+                    "n_alt_cycles": len(keys),
                     "engine": _ENGINES[args.engine],
                 }
             )
@@ -248,7 +251,7 @@ def cmd_force(args, out) -> int:
         out.write(f"forcing number: {result.forcing_number}\n")
         out.write(f"witness: {matching_text(g, result.witness) or '(empty)'}\n")
         out.write(f"max disjoint alternating cycles: {len(packing)}\n")
-        out.write(f"alternating cycles: {len(cycles)}\n")
+        out.write(f"alternating cycles: {len(keys)}\n")
         out.write(f"engine: {_ENGINES[args.engine]}\n")
     return EXIT_OK
 

@@ -19,16 +19,25 @@ Their agreement on every input is itself a theorem, which makes running both
 a built-in correctness oracle.
 
 The alternating cycles come from a depth-first walk on an explicit stack.
-Each stack entry links to its parent instead of carrying a copy of its path,
-and a cycle's vertex sequence and edge masks are rebuilt from those links
-only when the walk closes it. The walk can stop at a cycle length and skip
-the cycles that a given set of matched edges already meets.
+Each stack entry carries the path's vertex and edge masks, not the path, and
+the walk yields one int per cycle, its canonical key. In a graph of N
+vertices and E edges, the key of a cycle with vertex set V and edge set S is
+
+    (|V| << N | the N-bit complement of rev(V)) << E | S,
+
+where rev(V) holds vertex v as bit N-1-v. Of two vertex sets of one size, the
+one with the larger rev(V) has the lexicographically smaller sorted vertex
+tuple, so ascending keys order cycles by length, then sorted vertex tuple,
+then edge set: the canonical cycle order. key >> (N + E) is the cycle's
+vertex count and key & m its matched edges. The walk can stop at a cycle
+length and skip the cycles that a given set of matched edges already meets.
 
 The transversal and the maximum disjoint packing, whose size C(G, M) bounds
-f(G, M) below, both read the list enumerate_alternating_cycles returns, so a
-caller that needs both enumerates once and passes the list on. Without such
-a list the transversal deepens instead: it solves on the short cycles and
-walks longer ones only while its witness leaves one of them unhit.
+f(G, M) below, both read the sorted keys alternating_cycle_keys returns, so a
+caller that needs both walks once and passes the keys on. Without them the
+transversal deepens instead: it solves on the short cycles and walks longer
+ones only while its witness leaves one of them unhit. AltCycle objects, with
+their vertex paths, are built only by enumerate_alternating_cycles.
 
 forcing_numbers_map runs one engine over many matchings, in one process or
 fanned out by _fan_out: jobs - 1 forked children each compute a strided
@@ -64,8 +73,8 @@ class AltCycle:
     """An M-alternating cycle: vertex sequence plus derived bitmasks.
 
     `edges` holds the complete cycle edge set, matched and unmatched alike,
-    and is the last key of the canonical cycle order. Two different cycles
-    can share both matched_edges and vertex_set (two Hamiltonian alternating
+    and is the last field of the canonical key. Two different cycles can
+    share both matched_edges and vertex_set (two Hamiltonian alternating
     cycles of GP(6,2) do), so neither is enough to tell cycles apart on its
     own.
     """
@@ -82,17 +91,13 @@ class ForcingResult:
     witness: int  # a minimum forcing set, as an edge bitmask
 
 
-def _canonical_order(c: AltCycle):
-    return len(c.vertices), tuple(sorted(c.vertices)), c.edges
-
-
 def _alternating_cycle_walker(g: Graph, m: int):
     """The alternating-cycle walk of (g, m), as a generator function
     walk(cap=None, avoid=0).
 
-    walk yields, each exactly once and in walk order, the M-alternating
-    cycles of at most `cap` vertices (of any length when cap is None) whose
-    matched edges miss `avoid`, a subset of m.
+    walk yields, each exactly once and in walk order, the canonical keys of
+    the M-alternating cycles of at most `cap` vertices (of any length when
+    cap is None) whose matched edges miss `avoid`, a subset of m.
 
     Depth-first search over alternating paths seeded at each matched edge
     e0 = (a, b) with a < b: the path starts a, b and only visits matched edges
@@ -104,14 +109,14 @@ def _alternating_cycle_walker(g: Graph, m: int):
 
     The walk keeps an explicit stack and tabulates each vertex's steps once
     per matching: a step from v takes an unmatched edge v-w, then w's matched
-    edge to its partner x. A stack entry is (row, vmask, parent, step_edges).
-    vmask holds the path's vertices, the vertices of `avoid` and those of
-    every matched edge up to e0, so one test rejects a revisit and every
-    vertex this seed may not use. step_edges is the bitmask of the step's two
-    edges, which names parallel edges apart. Only when a step reaches a again
-    is the cycle rebuilt: its vertex sequence from the parent links, its edges
-    as the union of their step_edges, and its matched edges as those edges
-    that lie in m.
+    edge to its partner x. A stack entry is (row, vmask, edges). vmask holds
+    vertex v as bit N-1-v, as the key does. It holds the path's vertices, the
+    vertices of `avoid` and those of every matched edge up to e0, so one test
+    rejects a revisit and every vertex this seed may not use. edges is the
+    bitmask of the path's edges, which names parallel edges apart. When a
+    step reaches a again, the key is packed from vmask, with the blocked
+    vertices other than a and b taken out, and from edges plus the step's
+    two edges.
 
     The cap costs the stack entries nothing: `row` is the vertex itself on an
     uncapped walk, and otherwise a row of a table layered by the number of
@@ -123,6 +128,9 @@ def _alternating_cycle_walker(g: Graph, m: int):
     if not is_perfect_matching(g, m):
         raise DomainError("not a perfect matching of this graph")
     n = g.num_vertices
+    num_edges = g.num_edges
+    everyone = (1 << n) - 1
+    bit = [1 << (n - 1 - v) for v in range(n)]
     partner = [-1] * n
     matched_edge_at = [-1] * n
     for eid in iter_bits(m):
@@ -137,9 +145,7 @@ def _alternating_cycle_walker(g: Graph, m: int):
             if not m >> eid & 1:
                 x = partner[w]
                 step_edges = 1 << eid | 1 << matched_edge_at[w]
-                steps[v].append((w, x, 1 << w | 1 << x, step_edges))
-    # ends[row]: the row's vertex and its partner, in path order
-    ends = [(v, partner[v]) for v in range(n)]
+                steps[v].append((w, x, bit[w] | bit[x], step_edges))
 
     def walk(cap: int | None = None, avoid: int = 0):
         if cap is None or cap >= n:
@@ -156,45 +162,79 @@ def _alternating_cycle_walker(g: Graph, m: int):
                                  for r in base)
                 else:  # -1 meets every vmask, so a layer-0 step only closes
                     steps.extend([(w, 0, -1, se) for w, _, _, se in r] for r in base)
-                ends.extend(ends[:n])
         blocked = 0
         for eid in iter_bits(avoid):
             p, q = g.edges[eid]
-            blocked |= 1 << p | 1 << q
+            blocked |= bit[p] | bit[q]
         for e0 in iter_bits(m & ~avoid):
             a, b = g.edges[e0]
-            seed = 1 << a | 1 << b
+            seed = bit[a] | bit[b]
             blocked |= seed
-            stack = [(start + b, blocked, None, 1 << e0)]
+            stack = [(start + b, blocked, 1 << e0)]
             push, pop = stack.append, stack.pop
             while stack:
-                node = pop()
-                vmask = node[1]
-                for w, to, wx, step_edges in steps[node[0]]:
+                row, vmask, edges = pop()
+                for w, to, wx, step_edges in steps[row]:
                     if not vmask & wx:
-                        push((to, vmask | wx, node, step_edges))
+                        push((to, vmask | wx, edges | step_edges))
                     elif w == a:  # a is blocked, so a closing step lands here
-                        path = []
-                        edges = step_edges
-                        link = node
-                        while link is not None:
-                            row, _, link, link_edges = link
-                            path += ends[row]
-                            edges |= link_edges
-                        path.reverse()
                         vertex_set = vmask ^ blocked | seed
-                        yield AltCycle(tuple(path), edges, edges & m, vertex_set)
+                        head = vertex_set.bit_count() << n | everyone ^ vertex_set
+                        yield head << num_edges | edges | step_edges
 
     return walk
 
 
-def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
-    """Every M-alternating cycle of (g, m), each exactly once.
+def alternating_cycle_keys(g: Graph, m: int) -> list[int]:
+    """The canonical keys of every M-alternating cycle of (g, m), ascending,
+    which is the canonical cycle order."""
+    return sorted(_alternating_cycle_walker(g, m)())
 
-    The uncapped walk of _alternating_cycle_walker, sorted by ascending
-    length, then lexicographic vertex set, then edge set.
+
+def key_vertex_sets(g: Graph, keys: list[int]) -> list[int]:
+    """The vertex set of each canonical key, vertex v as bit N-1-v."""
+    everyone = (1 << g.num_vertices) - 1
+    return [key >> g.num_edges & everyone ^ everyone for key in keys]
+
+
+def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
+    """Every M-alternating cycle of (g, m), each exactly once, in the
+    canonical order: ascending length, then lexicographic vertex set, then
+    edge set.
+
+    Each path is rebuilt from its key's edge set. It starts a, b, the ends of
+    the cycle's lowest matched edge with a < b, as the walk's does. From each
+    vertex reached by its matched edge, the path leaves by the one unmatched
+    edge of the set there, told apart by edge id so that parallel edges stay
+    distinct, and then crosses the matched edge of the vertex it reaches.
     """
-    return sorted(_alternating_cycle_walker(g, m)(), key=_canonical_order)
+    keys = alternating_cycle_keys(g, m)
+    partner = [-1] * g.num_vertices
+    for eid in iter_bits(m):
+        p, q = g.edges[eid]
+        partner[p], partner[q] = q, p
+    # steps[v]: (bit of the unmatched edge v-w, w, w's partner)
+    steps = [[(1 << eid, w, partner[w]) for eid, w in pairs if not m >> eid & 1]
+             for pairs in g.incident]
+    edge_mask = (1 << g.num_edges) - 1
+    digits = f"0{g.num_vertices}b"  # read backwards, rev(V) is V again
+    cycles = []
+    for rev_v, key in zip(key_vertex_sets(g, keys), keys):
+        edges = key & edge_mask
+        matched = edges & m
+        a, x = g.edges[(matched & -matched).bit_length() - 1]
+        path = [a, x]
+        while True:
+            for ebit, w, partner_w in steps[x]:
+                if edges & ebit:
+                    break
+            if w == a:
+                break
+            x = partner_w
+            path += (w, x)
+        vertex_set = int(format(rev_v, digits)[::-1], 2)
+        cycles.append(AltCycle(tuple(path), edges, matched, vertex_set))
+    return cycles
 
 
 def is_forcing(g: Graph, m: int, s: int, criterion: str = "uniqueness") -> bool:
@@ -256,29 +296,30 @@ def _min_transversal(m: int, cycle_masks: list[int]) -> ForcingResult:
     return ForcingResult(best_size, best_mask)
 
 
-def _shortest_unhit_length(walk, h: int, cap: int) -> int | None:
+def _shortest_unhit_length(walk, h: int, cap: int, shift: int) -> int | None:
     """The vertex count of the shortest alternating cycle whose matched edges
     miss h, or None if h meets them all; h meets every cycle of at most
-    `cap` vertices. One uncapped walk stops at the first such cycle, then
-    capped walks look for a shorter one, shortest cap first."""
+    `cap` vertices, and a key shifted right by `shift` is its vertex count.
+    One uncapped walk stops at the first such cycle, then capped walks look
+    for a shorter one, shortest cap first."""
     first = next(walk(avoid=h), None)
     if first is None:
         return None
-    longer = len(first.vertices)
+    longer = first >> shift
     shorter = (c for c in range(cap + 2, longer, 2) if next(walk(c, h), None))
     return next(shorter, longer)
 
 
 def forcing_number_by_hitting_set(
-    g: Graph, m: int, cycles: list[AltCycle] | None = None
+    g: Graph, m: int, keys: list[int] | None = None
 ) -> ForcingResult:
     """f(g, m) as a minimum hitting set over alternating-cycle matched edges.
 
-    `cycles` is enumerate_alternating_cycles(g, m). The search is exact
-    branch and bound over their matched edges in that canonical order, and
-    its first optimum is the witness.
+    `keys` is alternating_cycle_keys(g, m). The search is exact branch and
+    bound over the cycles' matched edges, key & m, in that canonical order,
+    and its first optimum is the witness.
 
-    When `cycles` is not given, the cycles are not all walked. Starting from
+    When `keys` is not given, the cycles are not all walked. Starting from
     the empty family, the search runs on the canonical prefix of cycles of at
     most `cap` vertices, and a walk that skips the witness's vertices looks
     for a cycle it leaves unhit; if there is one, cap rises to the length of
@@ -293,14 +334,14 @@ def forcing_number_by_hitting_set(
     any F-leaf of size f is a P-leaf of size f no earlier in DFS order. So
     the full search's first optimum is H* too.
     """
-    if cycles is not None:
-        return _min_transversal(m, [c.matched_edges for c in cycles])
+    if keys is not None:
+        return _min_transversal(m, [key & m for key in keys])
     walk = _alternating_cycle_walker(g, m)
+    shift = g.num_vertices + g.num_edges
     result = ForcingResult(0, 0)
     cap = 0
-    while (cap := _shortest_unhit_length(walk, result.witness, cap)) is not None:
-        prefix = sorted(walk(cap), key=_canonical_order)
-        result = _min_transversal(m, [c.matched_edges for c in prefix])
+    while (cap := _shortest_unhit_length(walk, result.witness, cap, shift)) is not None:
+        result = _min_transversal(m, [key & m for key in sorted(walk(cap))])
     return result
 
 
@@ -365,57 +406,71 @@ def forcing_number_by_subset_search(g: Graph, m: int) -> ForcingResult:
     return ForcingResult(k, witness)
 
 
-def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, ...]:
-    """A maximum family of pairwise vertex-disjoint cycles from `cycles`,
-    the list enumerate_alternating_cycles(g, m) returns; its length is
-    C(g, m).
+def max_disjoint_vertex_sets(vertex_sets: list[int]) -> tuple[int, ...]:
+    """A maximum family of pairwise disjoint sets from `vertex_sets`, the
+    cycles' vertex sets in canonical order (of keys or of AltCycles); its
+    length is C(g, m).
 
-    Exhaustive branch and bound over the canonically ordered cycle list:
-    each node keeps the later cycles disjoint from everything chosen, and
-    stops before branching on candidate j when no family from candidates[j:]
-    can beat the incumbent. Such a family has at most len(candidates) - j
-    cycles, and at most the vertex union of candidates[j:] over the length of
-    candidates[j], which the canonical order (ascending length) makes the
-    suffix's shortest cycle; the bound only falls as j grows. Only branches
-    that cannot strictly beat the incumbent are cut, so the search returns
-    the first maximum family in index order, as an unpruned search would.
+    Exhaustive branch and bound over the list: each node keeps the later
+    sets disjoint from everything chosen, and stops before branching on
+    candidate j when no family from candidates[j:] can beat the incumbent.
+    Such a family has at most len(candidates) - j sets, and at most the
+    union of candidates[j:] over the size of candidates[j], which the
+    canonical order (ascending length) makes the suffix's smallest set; the
+    bound only falls as j grows. Only branches that cannot strictly beat the
+    incumbent are cut, so the search returns the first maximum family in
+    index order, as an unpruned search would.
     """
-    best: tuple[AltCycle, ...] = ()
+    best: tuple[int, ...] = ()
 
-    def grow(candidates: list[AltCycle], chosen: tuple[AltCycle, ...]):
+    def grow(candidates: list[int], chosen: tuple[int, ...]):
         nonlocal best
         if len(chosen) > len(best):
             best = chosen
         k = len(candidates)
-        unions = [0] * (k + 1)  # unions[j]: the vertex union of candidates[j:]
+        unions = [0] * (k + 1)  # unions[j]: the union of candidates[j:]
         for j in range(k - 1, -1, -1):
-            unions[j] = unions[j + 1] | candidates[j].vertex_set
+            unions[j] = unions[j + 1] | candidates[j]
         for j, c in enumerate(candidates):
-            room = unions[j].bit_count() // len(c.vertices)
+            room = unions[j].bit_count() // c.bit_count()
             if len(chosen) + min(k - j, room) <= len(best):
                 return
-            rest = [d for d in candidates[j + 1 :] if not d.vertex_set & c.vertex_set]
-            grow(rest, chosen + (c,))
+            grow([d for d in candidates[j + 1 :] if not d & c], chosen + (c,))
 
-    grow(cycles, ())
+    grow(vertex_sets, ())
     return best
 
 
+def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, ...]:
+    """A maximum family of pairwise vertex-disjoint cycles from `cycles`,
+    the list enumerate_alternating_cycles(g, m) returns: the family
+    max_disjoint_vertex_sets finds, as cycles.
+
+    Two cycles can share a vertex set. The first maximum family never holds
+    the later of two such cycles, because putting the earlier in its place
+    gives a family of the same size that comes first in index order. So each
+    chosen set is the first cycle with that vertex set.
+    """
+    first = {c.vertex_set: c for c in reversed(cycles)}
+    chosen = max_disjoint_vertex_sets([c.vertex_set for c in cycles])
+    return tuple(first[vertex_set] for vertex_set in chosen)
+
+
 def compute_forcing(
-    g: Graph, m: int, engine: str = "hitting_set", cycles: list[AltCycle] | None = None
+    g: Graph, m: int, engine: str = "hitting_set", keys: list[int] | None = None
 ) -> ForcingResult:
     """Dispatch to one engine, or run both and insist they agree ("both"
     then returns the hitting-set result).
 
-    `cycles`, the already enumerated alternating cycles of (g, m), goes to
-    the hitting set; the subset search does not read it.
+    `keys`, the already walked alternating_cycle_keys(g, m), goes to the
+    hitting set; the subset search does not read it.
     """
     if engine == "hitting_set":
-        return forcing_number_by_hitting_set(g, m, cycles)
+        return forcing_number_by_hitting_set(g, m, keys)
     if engine == "subset_search":
         return forcing_number_by_subset_search(g, m)
     if engine == "both":
-        hit = forcing_number_by_hitting_set(g, m, cycles)
+        hit = forcing_number_by_hitting_set(g, m, keys)
         sub = forcing_number_by_subset_search(g, m)
         if hit.forcing_number != sub.forcing_number:
             raise EngineMismatch(

@@ -95,23 +95,27 @@ def test_force_published_m6_witness():
 
 @pytest.mark.parametrize("engine", ["cycles", "subsets", "both"])
 def test_force_enumerates_cycles_once(monkeypatch, engine):
-    # the transversal, the packing and the count all read one cycle list
-    import gpforce.cli as cli_mod
+    # the transversal, the packing and the count all read the keys of one
+    # walk: every walker and every walk it starts is counted
     import gpforce.forcing as forcing_mod
 
-    real = forcing_mod.enumerate_alternating_cycles
-    calls = []
+    real = forcing_mod._alternating_cycle_walker
+    walks = []
 
     def counted(g, m):
-        calls.append(m)
-        return real(g, m)
+        walk = real(g, m)
 
-    monkeypatch.setattr(forcing_mod, "enumerate_alternating_cycles", counted)
-    monkeypatch.setattr(cli_mod, "enumerate_alternating_cycles", counted)
+        def counted_walk(*args, **kwargs):
+            walks.append(m)
+            return walk(*args, **kwargs)
+
+        return counted_walk
+
+    monkeypatch.setattr(forcing_mod, "_alternating_cycle_walker", counted)
     code, text = run_cli("force", "--n", "5", "--matching", M1, "--engine", engine)
     assert code == EXIT_OK
     assert "forcing number: 2" in text and "alternating cycles: 5" in text
-    assert len(calls) == 1
+    assert len(walks) == 1
 
 
 def test_parser_is_built_once_and_leaks_no_state(monkeypatch, capsys):

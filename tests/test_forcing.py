@@ -24,6 +24,7 @@ from gpforce.forcing import (
     AltCycle,
     _alternating_cycle_walker,
     _fan_out,
+    alternating_cycle_keys,
     compute_forcing,
     enumerate_alternating_cycles,
     forcing_number_by_hitting_set,
@@ -183,8 +184,29 @@ def test_cycle_count_equals_single_cycle_partners(n):
         assert {m ^ c.edges for c in cycles} == set(partners)
 
 
-def full_order(c):
-    return len(c.vertices), tuple(sorted(c.vertices)), c.edges
+def canonical_fields(g, key):
+    # (vertex count, sorted vertex tuple, edge set) of the key's cycle, the
+    # vertices read from the endpoints of its edges rather than from the key
+    edges = key & ((1 << g.num_edges) - 1)
+    vertices = tuple(sorted({v for eid in iter_bits(edges) for v in g.edges[eid]}))
+    return len(vertices), vertices, edges
+
+
+def test_ascending_keys_give_the_canonical_order():
+    # the walk's own keys sort as ints into the order that sorting their
+    # cycles by (length, sorted vertex tuple, edge set) gives; the key's
+    # count and vertex-set fields agree with the cycle's edges
+    for g in small_graphs():
+        n, e = g.num_vertices, g.num_edges
+        for m in enumerate_perfect_matchings(g):
+            keys = list(_alternating_cycle_walker(g, m)())
+            for key in keys:
+                count, vertices, _ = canonical_fields(g, key)
+                assert key >> (n + e) == count, (g, m, key)
+                reversed_set = sum(1 << (n - 1 - v) for v in vertices)
+                assert key >> e & ((1 << n) - 1) == reversed_set ^ ((1 << n) - 1)
+            by_fields = sorted(keys, key=lambda k: canonical_fields(g, k))
+            assert sorted(keys) == by_fields, (g, m)
 
 
 @pytest.mark.parametrize("g", small_graphs(), ids=repr)
@@ -193,19 +215,19 @@ def test_capped_walker_matches_filtered_full_list(g):
     # cycle) and with each of its edges alone (which leaves some)
     for m in enumerate_perfect_matchings(g):
         full = enumerate_alternating_cycles(g, m)
+        keys = alternating_cycle_keys(g, m)  # keys[i] is the key of full[i]
         walk = _alternating_cycle_walker(g, m)
-        witness = forcing_number_by_hitting_set(g, m, full).witness
+        witness = forcing_number_by_hitting_set(g, m, keys).witness
         for avoid in (0, witness, *(1 << e for e in iter_bits(witness))):
             for cap in range(0, g.num_vertices + 3):
                 expected = [
-                    c
-                    for c in full
+                    key
+                    for key, c in zip(keys, full)
                     if len(c.vertices) <= cap and not c.matched_edges & avoid
                 ]
-                got = sorted(walk(cap, avoid), key=full_order)
-                assert got == expected, (g, m, avoid, cap)
-            uncapped = [c for c in full if not c.matched_edges & avoid]
-            assert sorted(walk(avoid=avoid), key=full_order) == uncapped
+                assert sorted(walk(cap, avoid)) == expected, (g, m, avoid, cap)
+            uncapped = [k for k, c in zip(keys, full) if not c.matched_edges & avoid]
+            assert sorted(walk(avoid=avoid)) == uncapped
 
 
 def test_deepening_matches_full_cycle_list():
@@ -213,7 +235,7 @@ def test_deepening_matches_full_cycle_list():
     # the search over every cycle picks
     for g in small_graphs():
         for m in enumerate_perfect_matchings(g):
-            full = forcing_number_by_hitting_set(g, m, enumerate_alternating_cycles(g, m))
+            full = forcing_number_by_hitting_set(g, m, alternating_cycle_keys(g, m))
             assert forcing_number_by_hitting_set(g, m) == full, (g, m)
 
 
@@ -223,7 +245,7 @@ def test_deepening_matches_full_cycle_list_on_orbit_representatives(n):
     ms = enumerate_perfect_matchings(g)
     for orbit in reference_orbits(g, ms, [0] * len(ms), group="dihedral"):
         m = orbit.representative
-        full = forcing_number_by_hitting_set(g, m, enumerate_alternating_cycles(g, m))
+        full = forcing_number_by_hitting_set(g, m, alternating_cycle_keys(g, m))
         assert forcing_number_by_hitting_set(g, m) == full, m
 
 
