@@ -17,7 +17,12 @@ compares the two engines on each representative. polynomial.orbit_polynomial
 tallies the orbits into the forcing polynomial, and rotation orbit tables
 split each dihedral orbit into its rotation orbits.
 The JSON report of a polynomial (n, k, coefficients, statistics, orbit rows)
-is rendered by polynomial.report_json alone.
+is rendered by polynomial.report_json alone. cycles and packing print
+vertex paths, which forcing.cycles_of_keys rebuilds from the cycle keys, for
+packing only those of the chosen cycles.
+
+A command loads only what it runs: the fan-out imports its own pickle,
+signal and traceback, and main imports traceback only to report a crash.
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error or invalid
 arguments, 3 internal consistency failure (the engines or orbit bookkeeping
@@ -33,17 +38,19 @@ import functools
 import json
 import os
 import sys
-import traceback
 
 from .forcing import (
     EngineMismatch,
     alternating_cycle_keys,
     compute_forcing,
+    cycles_of_keys,
     enumerate_alternating_cycles,
     key_vertex_sets,
-    max_disjoint_alternating_cycles,
     max_disjoint_vertex_sets,
 )
+
+# unused here since packing reads the keys, but bench/tracing.py patches it
+from .forcing import max_disjoint_alternating_cycles  # noqa: F401
 from .graphs import DomainError, build_gp, validate
 from .matchings import (
     edge_indices,
@@ -293,7 +300,12 @@ def cmd_cycles(args, out) -> int:
 def cmd_packing(args, out) -> int:
     g = build_gp(args.n, args.k)
     m = _parse_perfect_matching(g, args.matching)
-    packing = max_disjoint_alternating_cycles(enumerate_alternating_cycles(g, m))
+    keys = alternating_cycle_keys(g, m)
+    vertex_sets = key_vertex_sets(g, keys)
+    # each chosen set stands for the first key that has it, the cycle that
+    # max_disjoint_alternating_cycles picks
+    chosen = max_disjoint_vertex_sets(vertex_sets)
+    packing = cycles_of_keys(g, m, [keys[vertex_sets.index(s)] for s in chosen])
     if args.fmt == "json":
         out.write(
             _dumps(
@@ -414,6 +426,8 @@ def main(argv=None, out=None) -> int:
         return EXIT_INTERNAL
     except Exception as exc:
         # exit 1 means a verification mismatch, so a crash must not surface as it
+        import traceback  # only a crash needs it
+
         traceback.print_exc(file=sys.stderr)
         print(f"unexpected failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED

@@ -37,23 +37,22 @@ f(G, M) below, both read the sorted keys alternating_cycle_keys returns, so a
 caller that needs both walks once and passes the keys on. Without them the
 transversal deepens instead: it solves on the short cycles and walks longer
 ones only while its witness leaves one of them unhit. AltCycle objects, with
-their vertex paths, are built only by enumerate_alternating_cycles.
+their vertex paths, are rebuilt from keys by cycles_of_keys, for the cycles
+a caller prints.
 
 forcing_numbers_map runs one engine over many matchings, in one process or
 fanned out by _fan_out: jobs - 1 forked children each compute a strided
 share and send it back through a pipe while the calling process computes
 the first share itself. The results, and the exception raised if any, are
 those of the serial loop. verify_published_tables fans out the same way,
-by whole tables.
+by whole tables. pickle, signal and traceback serve the fan-out alone, so
+_fan_out imports them and a serial run never loads them.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import signal
-import traceback
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import DomainError, Graph
 from .matchings import (
@@ -68,8 +67,7 @@ class EngineMismatch(RuntimeError):
     """The two forcing engines disagreed; this always signals a bug."""
 
 
-@dataclass(frozen=True)
-class AltCycle:
+class AltCycle(NamedTuple):
     """An M-alternating cycle: vertex sequence plus derived bitmasks.
 
     `edges` holds the complete cycle edge set, matched and unmatched alike,
@@ -85,8 +83,7 @@ class AltCycle:
     vertex_set: int
 
 
-@dataclass(frozen=True)
-class ForcingResult:
+class ForcingResult(NamedTuple):
     forcing_number: int
     witness: int  # a minimum forcing set, as an edge bitmask
 
@@ -194,13 +191,19 @@ def alternating_cycle_keys(g: Graph, m: int) -> list[int]:
 def key_vertex_sets(g: Graph, keys: list[int]) -> list[int]:
     """The vertex set of each canonical key, vertex v as bit N-1-v."""
     everyone = (1 << g.num_vertices) - 1
-    return [key >> g.num_edges & everyone ^ everyone for key in keys]
+    num_edges = g.num_edges
+    return [key >> num_edges & everyone ^ everyone for key in keys]
 
 
 def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
     """Every M-alternating cycle of (g, m), each exactly once, in the
     canonical order: ascending length, then lexicographic vertex set, then
-    edge set.
+    edge set."""
+    return cycles_of_keys(g, m, alternating_cycle_keys(g, m))
+
+
+def cycles_of_keys(g: Graph, m: int, keys: list[int]) -> list[AltCycle]:
+    """The AltCycle of each canonical key of (g, m), in the order given.
 
     Each path is rebuilt from its key's edge set. It starts a, b, the ends of
     the cycle's lowest matched edge with a < b, as the walk's does. From each
@@ -208,7 +211,6 @@ def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
     edge of the set there, told apart by edge id so that parallel edges stay
     distinct, and then crosses the matched edge of the vertex it reaches.
     """
-    keys = alternating_cycle_keys(g, m)
     partner = [-1] * g.num_vertices
     for eid in iter_bits(m):
         p, q = g.edges[eid]
@@ -451,9 +453,9 @@ def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, .
     gives a family of the same size that comes first in index order. So each
     chosen set is the first cycle with that vertex set.
     """
-    first = {c.vertex_set: c for c in reversed(cycles)}
-    chosen = max_disjoint_vertex_sets([c.vertex_set for c in cycles])
-    return tuple(first[vertex_set] for vertex_set in chosen)
+    vertex_sets = [c.vertex_set for c in cycles]
+    chosen = max_disjoint_vertex_sets(vertex_sets)
+    return tuple(cycles[vertex_sets.index(s)] for s in chosen)
 
 
 def compute_forcing(
@@ -508,6 +510,9 @@ def _child_share(fn, items: list, start: int, step: int, fd: int):
     os._exit, so the child never flushes the parent's buffered output or
     runs its exit handlers. Exit status 0 means the whole share was written.
     """
+    import pickle  # loaded by _fan_out before the fork: a sys.modules lookup
+    import traceback
+
     status = 1
     try:
         results, failure = _run_share(fn, items, start, step)
@@ -536,11 +541,18 @@ def _fan_out(fn, items, jobs: int) -> list:
     that ends without sending its whole share raises RuntimeError. No child
     outlives the call: if this process's own share is interrupted, the
     children are killed, and every one is reaped.
+
+    Only this path needs pickle, signal and traceback, so they are imported
+    here, before the first fork, and the children inherit them loaded.
     """
     items = list(items)
     jobs = min(jobs, len(items))
     if jobs <= 1 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
+    import pickle
+    import signal
+    import traceback  # noqa: F401  (for _child_share, after the fork)
+
     pids, pipes, received, statuses = [], [], [], []
     try:
         for p in range(1, jobs):

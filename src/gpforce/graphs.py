@@ -16,8 +16,6 @@ the rotations first, by n-bit rotations and reversals of the blocks.
 
 from __future__ import annotations
 
-import json
-
 
 class DomainError(ValueError):
     """An argument falls outside the supported domain."""
@@ -116,6 +114,8 @@ class Graph:
         }
 
     def to_json(self) -> str:
+        import json  # only this method needs it
+
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def __repr__(self):

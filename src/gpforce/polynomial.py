@@ -12,12 +12,15 @@ orbit shares one forcing number because the maps are graph automorphisms, so
 the engine runs once per orbit. A graph without gp_params has only the
 identity map, and each of its matchings is an orbit of its own. Rotation
 orbit tables split each dihedral orbit from its smallest member alone.
+
+The records (ForcingPolynomial, PolyStats, Orbit, OrbitTable) are
+NamedTuples, and poly_stats alone imports fractions, so importing this
+module loads neither dataclasses nor fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .forcing import forcing_numbers_map
 from .graphs import DomainError, Graph, symmetry_images
@@ -26,13 +29,15 @@ from .matchings import edge_indices, matching_text, perfect_matchings
 # unused here since analyze reads the memo, but bench/tracing.py patches it
 from .matchings import enumerate_perfect_matchings  # noqa: F401
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 class OrbitInconsistency(RuntimeError):
     """An orbit's symmetry images leave the matchings it was taken from."""
 
 
-@dataclass
-class ForcingPolynomial:
+class ForcingPolynomial(NamedTuple):
     """Map from forcing number i to the count of matchings attaining it."""
 
     coeffs: dict[int, int]
@@ -60,8 +65,7 @@ def polynomial_text(coeffs: dict[int, int]) -> str:
     return "+".join(terms)
 
 
-@dataclass(frozen=True)
-class PolyStats:
+class PolyStats(NamedTuple):
     pm_count: int
     average_forcing: Fraction
     spectrum: tuple[int, ...]
@@ -84,6 +88,8 @@ def poly_stats(p: ForcingPolynomial) -> PolyStats:
     """Matching count, exact average forcing number, spectrum, extremes."""
     if not p.coeffs:
         raise DomainError("empty polynomial: the graph has no perfect matching")
+    from fractions import Fraction  # only the statistics use it
+
     total = sum(p.coeffs.values())
     weighted = sum(e * c for e, c in p.coeffs.items())
     spectrum = tuple(sorted(p.coeffs))
@@ -163,8 +169,7 @@ def report_json(g: Graph, poly: ForcingPolynomial, orbits=None) -> dict:
     return report
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """A symmetry-equivalence class of perfect matchings.
 
     representative is the smallest bit-encoding over the whole orbit; size is
@@ -215,8 +220,7 @@ def orbit_polynomial(orbits: list[Orbit]) -> ForcingPolynomial:
     return ForcingPolynomial(coeffs)
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(NamedTuple):
     """Orbit rows (NO, PMC, FN, representative) plus the polynomial footer."""
 
     g: Graph

@@ -9,7 +9,7 @@ their order is presentation only, so comparisons treat them as multisets.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .forcing import _fan_out
 from .graphs import DomainError, build_gp
@@ -62,9 +62,9 @@ PUBLISHED_MATCHING_COUNTS: dict[int, int] = {
 }
 
 
-@dataclass
-class TableCheck:
-    """Outcome of re-deriving one published table."""
+class TableCheck(NamedTuple):
+    """Outcome of re-deriving one published table; check_table attaches
+    dihedral_rows to a failed check with _replace."""
 
     n: int
     expected_poly: dict[int, int]
@@ -136,7 +136,9 @@ def check_table(n: int, engine: str = "hitting_set") -> TableCheck:
         computed_rows=tuple((o.size, o.forcing_number) for o in orbits),
     )
     if not check.rows_ok:
-        check.dihedral_rows = tuple((o.size, o.forcing_number) for o in dihedral)
+        check = check._replace(
+            dihedral_rows=tuple((o.size, o.forcing_number) for o in dihedral)
+        )
     return check
 
 

@@ -551,13 +551,47 @@ def test_fan_out_kills_the_children_when_its_own_share_is_interrupted(deadline):
     assert_no_children()
 
 
-def test_import_loads_no_process_pool():
+def modules_added(snippet: str) -> set[str]:
+    """The modules that running `snippet` adds to sys.modules in a fresh
+    interpreter; those that site loaded at start-up are not counted."""
     code = (
-        "import sys, gpforce; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        "import sys; before = set(sys.modules)\n"
+        f"{snippet}\n"
+        "print(*sorted(set(sys.modules) - before))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert done.stdout == "[]\n"
+    return set(done.stdout.split())
+
+
+def assert_none_loaded(added: set[str], names: list[str]):
+    assert sorted(m for m in added if m.split(".")[0] in names) == []
+
+
+def test_import_loads_no_process_pool():
+    # nor any module that only the fan-out, a crash, the statistics or a
+    # JSON rendering uses; the gpforce submodules all load eagerly
+    added = modules_added("import gpforce")
+    assert_none_loaded(
+        added,
+        ["multiprocessing", "concurrent", "dataclasses", "inspect", "pickle",
+         "signal", "traceback", "fractions", "json", "argparse"],
+    )
+    assert sorted(m for m in added if m.split(".")[0] == "gpforce") == [
+        "gpforce", "gpforce.forcing", "gpforce.graphs", "gpforce.matchings",
+        "gpforce.polynomial", "gpforce.tables",
+    ]
+
+
+def test_force_command_loads_only_what_it_runs():
+    added = modules_added(
+        "import io, gpforce.cli\n"
+        "assert gpforce.cli.main(['force', '--n', '5', '--matching',"
+        " 'u0-v0,u1-v1,u2-v2,u3-v3,u4-v4'], io.StringIO()) == 0"
+    )
+    assert_none_loaded(
+        added,
+        ["dataclasses", "inspect", "pickle", "signal", "traceback", "fractions"],
+    )
+    assert "gpforce.cli" in added
