@@ -6,6 +6,8 @@ GP(n,2) for n = 5..12 (single-matching commands on the first, middle and last
 matching), the single-matching commands (`force` with every engine, `cycles`
 and `packing`, in table and json) on the three GP(24,2) matchings of
 GP24_MANY_CYCLES and on the first, middle and last matching of GP(26,2),
+`force --engine cycles` in table and json on the first, middle and last
+matching of GP(28,2) and GP(30,2),
 `poly --orbits` and dihedral `orbits` on GP(n,2) for n = 13..24, rotation
 `orbits` on GP(n,2) for n = 25..28, a few k != 2 graphs (dihedral orbits
 included, also for k > n/2), rotation `orbits` on GP(n,k) for every k of
@@ -87,6 +89,16 @@ def cases() -> list[list[str]]:
     ms = enumerate_perfect_matchings(g)
     for m in (ms[0], ms[len(ms) // 2], ms[-1]):
         out += single_matching_calls(["--n", "26", "--matching", matching_text(g, m)])
+    # the hitting set on the full key list above n = 26: force with the
+    # cycles engine on the first, middle and last matching of GP(28,2) and
+    # GP(30,2)
+    for n in (28, 30):
+        g = build_gp(n, 2)
+        ms = enumerate_perfect_matchings(g)
+        for m in (ms[0], ms[len(ms) // 2], ms[-1]):
+            one = ["--n", str(n), "--matching", matching_text(g, m)]
+            out += [["force", *one, "--engine", "cycles", "--format", f]
+                    for f in ("table", "json")]
     # rotation orbit tables beyond the paper's range
     for n in range(25, 29):
         out.append(["orbits", "--n", str(n), "--format", "csv", "--threads", "1"])
