@@ -301,11 +301,8 @@ def cmd_packing(args, out) -> int:
     g = build_gp(args.n, args.k)
     m = _parse_perfect_matching(g, args.matching)
     keys = alternating_cycle_keys(g, m)
-    vertex_sets = key_vertex_sets(g, keys)
-    # each chosen set stands for the first key that has it, the cycle that
-    # max_disjoint_alternating_cycles picks
-    chosen = max_disjoint_vertex_sets(vertex_sets)
-    packing = cycles_of_keys(g, m, [keys[vertex_sets.index(s)] for s in chosen])
+    chosen = max_disjoint_vertex_sets(key_vertex_sets(g, keys))
+    packing = cycles_of_keys(g, m, [keys[p] for p in chosen])
     if args.fmt == "json":
         out.write(
             _dumps(

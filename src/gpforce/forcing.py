@@ -13,7 +13,8 @@ engines here must always agree:
     witness is the plain scan's first success;
   * hitting set: S forces M exactly when S meets the matched edges of every
     M-alternating cycle, so f(G, M) is the minimum transversal of those
-    cycles, found by branch and bound.
+    cycles. It is found as the subset search finds its subset: by size,
+    depth first, with the same cut on pairwise disjoint unmet sets.
 
 Their agreement on every input is itself a theorem, which makes running both
 a built-in correctness oracle.
@@ -271,45 +272,36 @@ def _greedy_disjoint_count(masks) -> int:
     return count
 
 
-def _min_transversal(m: int, cycle_masks: list[int]) -> ForcingResult:
-    """The first minimum subset of m that meets every mask, by branch and
-    bound: branch on the first uncovered mask's edges in ascending index
-    order; the lower bound is the greedy count of pairwise disjoint
-    uncovered masks."""
-    if not cycle_masks:
-        return ForcingResult(0, 0)
-    best_size = m.bit_count()
-    best_mask = m
+def _min_transversal(cycle_masks: list[int], k: int = 0) -> ForcingResult:
+    """The minimum size f of an edge set that meets every mask, and the
+    first such set in depth-first order, where a node branches on the first
+    unmet mask's edges in ascending index order.
 
-    def descend(chosen: int, size: int, masks: list[int]):
-        nonlocal best_size, best_mask
+    k must not exceed f. For k, k + 1, ... in turn, from the greedy count
+    of pairwise disjoint masks if that is larger, the walk looks for a leaf
+    of at most k picks, and cuts a node when more pairwise disjoint unmet
+    masks remain than picks. No leaf has fewer than f picks, so the first k
+    that succeeds is f. The cut keeps every node above a leaf of f picks,
+    so the leaf found is the first of size f in the unpruned order.
+    """
+
+    def first(left: int, masks: list[int]) -> int | None:
+        # the first leaf of at most `left` picks that meets every mask
         if not masks:
-            if size < best_size:
-                best_size, best_mask = size, chosen
-            return
-        if size + _greedy_disjoint_count(masks) >= best_size:
-            return
-        target = masks[0]
-        for eid in iter_bits(target):
+            return 0
+        if _greedy_disjoint_count(masks) > left:
+            return None
+        for eid in iter_bits(masks[0]):
             ebit = 1 << eid
-            descend(chosen | ebit, size + 1, [cm for cm in masks if not cm & ebit])
-
-    descend(0, 0, cycle_masks)
-    return ForcingResult(best_size, best_mask)
-
-
-def _shortest_unhit_length(walk, h: int, cap: int, shift: int) -> int | None:
-    """The vertex count of the shortest alternating cycle whose matched edges
-    miss h, or None if h meets them all; h meets every cycle of at most
-    `cap` vertices, and a key shifted right by `shift` is its vertex count.
-    One uncapped walk stops at the first such cycle, then capped walks look
-    for a shorter one, shortest cap first."""
-    first = next(walk(avoid=h), None)
-    if first is None:
+            found = first(left - 1, [cm for cm in masks if not cm & ebit])
+            if found is not None:
+                return found | ebit
         return None
-    longer = first >> shift
-    shorter = (c for c in range(cap + 2, longer, 2) if next(walk(c, h), None))
-    return next(shorter, longer)
+
+    k = max(k, _greedy_disjoint_count(cycle_masks))
+    while (witness := first(k, cycle_masks)) is None:
+        k += 1
+    return ForcingResult(k, witness)
 
 
 def forcing_number_by_hitting_set(
@@ -317,34 +309,40 @@ def forcing_number_by_hitting_set(
 ) -> ForcingResult:
     """f(g, m) as a minimum hitting set over alternating-cycle matched edges.
 
-    `keys` is alternating_cycle_keys(g, m). The search is exact branch and
-    bound over the cycles' matched edges, key & m, in that canonical order,
-    and its first optimum is the witness.
+    `keys` is alternating_cycle_keys(g, m). The witness is the first minimum
+    transversal of the cycles' matched edges, key & m, in that canonical
+    order, in _min_transversal's depth-first order.
 
     When `keys` is not given, the cycles are not all walked. Starting from
     the empty family, the search runs on the canonical prefix of cycles of at
     most `cap` vertices, and a walk that skips the witness's vertices looks
     for a cycle it leaves unhit; if there is one, cap rises to the length of
-    the shortest such cycle and the search runs again. Most matchings are
-    settled by their short cycles, so the long ones are never walked.
+    the shortest such cycle (capped walks, shortest cap first, look for one
+    shorter than the first the uncapped walk meets) and the search runs
+    again. Each round starts at the last round's f: its prefix contains the
+    last one, so its f is no smaller. Most matchings are settled by their
+    short cycles, so the long ones are never walked.
 
     The answer, witness included, is the one the full list gives. The sort
     key starts with length, so the prefix P is a prefix of the full list F.
     The P-optimal witness H* meets every cycle, so f_P <= f <= |H*| = f_P.
-    On a node both searches reach they branch alike, and greedy over F's
-    uncovered masks counts at least as many as over P's, so F prunes no less;
-    any F-leaf of size f is a P-leaf of size f no earlier in DFS order. So
-    the full search's first optimum is H* too.
+    While P has an unmet mask, its first is F's, so the two trees branch
+    alike. So an F-leaf of size f is a P-leaf, as a P-leaf above it would
+    have fewer than f_P picks, and H*, which meets every cycle, is an F-leaf.
+    No F-leaf of size f comes before H* in depth-first order.
     """
     if keys is not None:
-        return _min_transversal(m, [key & m for key in keys])
+        return _min_transversal([key & m for key in keys])
     walk = _alternating_cycle_walker(g, m)
-    shift = g.num_vertices + g.num_edges
-    result = ForcingResult(0, 0)
+    shift = g.num_vertices + g.num_edges  # a key shifted by this is its length
+    f, h = 0, 0
     cap = 0
-    while (cap := _shortest_unhit_length(walk, result.witness, cap, shift)) is not None:
-        result = _min_transversal(m, [key & m for key in sorted(walk(cap))])
-    return result
+    while (unhit := next(walk(avoid=h), None)) is not None:
+        length = unhit >> shift
+        shorter = (c for c in range(cap + 2, length, 2) if next(walk(c, h), None))
+        cap = next(shorter, length)
+        f, h = _min_transversal([key & m for key in sorted(walk(cap))], f)
+    return ForcingResult(f, h)
 
 
 def forcing_number_by_subset_search(g: Graph, m: int) -> ForcingResult:
@@ -409,9 +407,9 @@ def forcing_number_by_subset_search(g: Graph, m: int) -> ForcingResult:
 
 
 def max_disjoint_vertex_sets(vertex_sets: list[int]) -> tuple[int, ...]:
-    """A maximum family of pairwise disjoint sets from `vertex_sets`, the
-    cycles' vertex sets in canonical order (of keys or of AltCycles); its
-    length is C(g, m).
+    """The positions in `vertex_sets`, the cycles' vertex sets in canonical
+    order (of keys or of AltCycles), of the first maximum family of pairwise
+    disjoint sets in index order; its length is C(g, m).
 
     Exhaustive branch and bound over the list: each node keeps the later
     sets disjoint from everything chosen, and stops before branching on
@@ -420,8 +418,13 @@ def max_disjoint_vertex_sets(vertex_sets: list[int]) -> tuple[int, ...]:
     union of candidates[j:] over the size of candidates[j], which the
     canonical order (ascending length) makes the suffix's smallest set; the
     bound only falls as j grows. Only branches that cannot strictly beat the
-    incumbent are cut, so the search returns the first maximum family in
+    incumbent are cut, so the search finds the first maximum family in
     index order, as an unpruned search would.
+
+    Two cycles can share a vertex set. That family never holds the later of
+    two such cycles, because putting the earlier in its place gives a family
+    of the same size that comes first in index order. So each chosen set is
+    at the first position that holds it.
     """
     best: tuple[int, ...] = ()
 
@@ -440,22 +443,15 @@ def max_disjoint_vertex_sets(vertex_sets: list[int]) -> tuple[int, ...]:
             grow([d for d in candidates[j + 1 :] if not d & c], chosen + (c,))
 
     grow(vertex_sets, ())
-    return best
+    return tuple(vertex_sets.index(s) for s in best)
 
 
 def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, ...]:
     """A maximum family of pairwise vertex-disjoint cycles from `cycles`,
     the list enumerate_alternating_cycles(g, m) returns: the family
-    max_disjoint_vertex_sets finds, as cycles.
-
-    Two cycles can share a vertex set. The first maximum family never holds
-    the later of two such cycles, because putting the earlier in its place
-    gives a family of the same size that comes first in index order. So each
-    chosen set is the first cycle with that vertex set.
-    """
-    vertex_sets = [c.vertex_set for c in cycles]
-    chosen = max_disjoint_vertex_sets(vertex_sets)
-    return tuple(cycles[vertex_sets.index(s)] for s in chosen)
+    max_disjoint_vertex_sets finds, as cycles."""
+    chosen = max_disjoint_vertex_sets([c.vertex_set for c in cycles])
+    return tuple(cycles[p] for p in chosen)
 
 
 def compute_forcing(

@@ -103,6 +103,42 @@ def brute_forcing_number(g: Graph, m: int, all_matchings: list[int]) -> int:
     raise AssertionError("a perfect matching always forces itself")
 
 
+def reference_min_transversal(m: int, cycle_masks: list[int]) -> tuple[int, int]:
+    """(size, mask) of the first minimum subset of m that meets every mask,
+    by incumbent branch and bound: branch on the first uncovered mask's
+    edges in ascending index order, and cut a node that the greedy count of
+    pairwise disjoint uncovered masks shows cannot beat the best so far.
+    The reference for forcing._min_transversal, which deepens instead."""
+    if not cycle_masks:
+        return 0, 0
+    best_size = m.bit_count()
+    best_mask = m
+
+    def greedy_disjoint(masks):
+        used = count = 0
+        for cm in masks:
+            if not cm & used:
+                count += 1
+                used |= cm
+        return count
+
+    def descend(chosen: int, size: int, masks: list[int]):
+        nonlocal best_size, best_mask
+        if not masks:
+            if size < best_size:
+                best_size, best_mask = size, chosen
+            return
+        if size + greedy_disjoint(masks) >= best_size:
+            return
+        for eid in range(masks[0].bit_length()):
+            ebit = 1 << eid
+            if masks[0] & ebit:
+                descend(chosen | ebit, size + 1, [cm for cm in masks if not cm & ebit])
+
+    descend(0, 0, cycle_masks)
+    return best_size, best_mask
+
+
 def brute_single_cycle_partners(g: Graph, m: int, all_matchings: list[int]) -> list[int]:
     """Matchings whose symmetric difference with m is one single cycle.
 

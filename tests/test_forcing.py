@@ -18,8 +18,10 @@ from conftest import (
     brute_max_packing,
     brute_single_cycle_partners,
     cycle_graph,
+    reference_min_transversal,
     reference_orbits,
 )
+from gpforce import forcing
 from gpforce.forcing import (
     AltCycle,
     _alternating_cycle_walker,
@@ -247,6 +249,38 @@ def test_deepening_matches_full_cycle_list_on_orbit_representatives(n):
         m = orbit.representative
         full = forcing_number_by_hitting_set(g, m, alternating_cycle_keys(g, m))
         assert forcing_number_by_hitting_set(g, m) == full, m
+
+
+@pytest.mark.parametrize(
+    "n, k", [*((n, 2) for n in range(21, 27)), (7, 3), (9, 4), (11, 3), (13, 5), (14, 3)]
+)
+def test_transversal_matches_incumbent_reference(monkeypatch, n, k):
+    # every (masks, start k) that the deepening and the full key list hand
+    # the transversal on a dihedral orbit representative: the same f and
+    # witness as the incumbent search, and no start above f
+    calls = []
+    transversal = forcing._min_transversal
+
+    def recorded(masks, start=0):
+        result = transversal(masks, start)
+        calls.append((masks, start, result))
+        return result
+
+    monkeypatch.setattr(forcing, "_min_transversal", recorded)
+    g = build_gp(n, k)
+    ms = enumerate_perfect_matchings(g)
+    highest_start = 0
+    for orbit in reference_orbits(g, ms, [0] * len(ms), group="dihedral"):
+        m = orbit.representative
+        calls.clear()
+        deepened = forcing_number_by_hitting_set(g, m)
+        assert deepened == forcing_number_by_hitting_set(g, m, alternating_cycle_keys(g, m))
+        for masks, start, (f, witness) in calls:
+            assert (f, witness) == reference_min_transversal(m, masks), (m, start)
+            assert witness.bit_count() == f
+            assert start <= f, (m, start)
+            highest_start = max(highest_start, start)
+    assert highest_start > 0  # some round starts at the last round's f
 
 
 def test_gp52_forcing_numbers_published(gp52, gp52_matchings):
