@@ -20,9 +20,10 @@ Their agreement on every input is itself a theorem, which makes running both
 a built-in correctness oracle.
 
 The alternating cycles come from a depth-first walk on an explicit stack.
-Each stack entry carries the path's vertex and edge masks, not the path, and
-the walk yields one int per cycle, its canonical key. In a graph of N
-vertices and E edges, the key of a cycle with vertex set V and edge set S is
+Each stack entry carries the path's last vertex, the steps it may still take,
+and its vertex and edge masks, not the path, and the walk yields one int per
+cycle, its canonical key. In a graph of N vertices and E edges, the key of a
+cycle with vertex set V and edge set S is
 
     (|V| << N | the N-bit complement of rev(V)) << E | S,
 
@@ -30,8 +31,10 @@ where rev(V) holds vertex v as bit N-1-v. Of two vertex sets of one size, the
 one with the larger rev(V) has the lexicographically smaller sorted vertex
 tuple, so ascending keys order cycles by length, then sorted vertex tuple,
 then edge set: the canonical cycle order. key >> (N + E) is the cycle's
-vertex count and key & m its matched edges. The walk can stop at a cycle
-length and skip the cycles that a given set of matched edges already meets.
+vertex count and key & m its matched edges. A walk capped at a cycle length
+is the same search with a smaller step budget, so it yields the uncapped
+walk's keys of at most that length, in the same order; it can also skip the
+cycles that a given set of matched edges already meets.
 
 The transversal and the maximum disjoint packing, whose size C(G, M) bounds
 f(G, M) below, both read the sorted keys alternating_cycle_keys returns, so a
@@ -107,21 +110,17 @@ def _alternating_cycle_walker(g: Graph, m: int):
 
     The walk keeps an explicit stack and tabulates each vertex's steps once
     per matching: a step from v takes an unmatched edge v-w, then w's matched
-    edge to its partner x. A stack entry is (row, vmask, edges). vmask holds
-    vertex v as bit N-1-v, as the key does. It holds the path's vertices, the
-    vertices of `avoid` and those of every matched edge up to e0, so one test
-    rejects a revisit and every vertex this seed may not use. edges is the
-    bitmask of the path's edges, which names parallel edges apart. When a
-    step reaches a again, the key is packed from vmask, with the blocked
-    vertices other than a and b taken out, and from edges plus the step's
-    two edges.
-
-    The cap costs the stack entries nothing: `row` is the vertex itself on an
-    uncapped walk, and otherwise a row of a table layered by the number of
-    steps still allowed. Layer j's steps lead to layer j - 1, and layer 0's
-    steps only ever close a cycle. A capped walk seeds b in layer
-    cap // 2 - 1, since a cycle of 2 + 2j vertices takes j steps after a, b.
-    Layers are added as caps first ask for them and kept for later walks.
+    edge to its partner x. A stack entry is (v, left, vmask, edges). left is
+    the number of steps that still add two vertices, so a walk capped at cap
+    vertices seeds b with cap // 2 - 1 (an uncapped walk is capped at N), a
+    free step is pushed only while left is positive, and a step back to a
+    closes the cycle at any left. vmask holds vertex v as bit N-1-v, as the
+    key does. It holds the path's vertices, the vertices of `avoid` and those
+    of every matched edge up to e0, so one test rejects a revisit and every
+    vertex this seed may not use. edges is the bitmask of the path's edges,
+    which names parallel edges apart. When a step reaches a again, the key is
+    packed from vmask, with the blocked vertices other than a and b taken
+    out, and from edges plus the step's two edges.
     """
     if not is_perfect_matching(g, m):
         raise DomainError("not a perfect matching of this graph")
@@ -135,8 +134,7 @@ def _alternating_cycle_walker(g: Graph, m: int):
         a, b = g.edges[eid]
         partner[a], partner[b] = b, a
         matched_edge_at[a] = matched_edge_at[b] = eid
-    # steps[row]: (w, next row, bits of w and x, bits of the edges v-w and
-    # w-x); rows 0..n-1 are the uncapped vertices, rows n(j+1).. layer j
+    # steps[v]: (w, x, bits of w and x, bits of the edges v-w and w-x)
     steps = [[] for _ in range(n)]
     for v, pairs in enumerate(g.incident):
         for eid, w in pairs:
@@ -146,20 +144,9 @@ def _alternating_cycle_walker(g: Graph, m: int):
                 steps[v].append((w, x, bit[w] | bit[x], step_edges))
 
     def walk(cap: int | None = None, avoid: int = 0):
-        if cap is None or cap >= n:
-            start = 0
-        elif cap < 2:
+        seed_left = (n if cap is None else cap) // 2 - 1
+        if seed_left < 0:  # not even a cycle of two vertices fits
             return
-        else:
-            start = n * (cap // 2)
-            while len(steps) <= start:  # add the next layer
-                below = len(steps) - n  # the first row of the layer beneath
-                base = steps[:n]
-                if below:
-                    steps.extend([(w, to + below, wx, se) for w, to, wx, se in r]
-                                 for r in base)
-                else:  # -1 meets every vmask, so a layer-0 step only closes
-                    steps.extend([(w, 0, -1, se) for w, _, _, se in r] for r in base)
         blocked = 0
         for eid in iter_bits(avoid):
             p, q = g.edges[eid]
@@ -168,13 +155,14 @@ def _alternating_cycle_walker(g: Graph, m: int):
             a, b = g.edges[e0]
             seed = bit[a] | bit[b]
             blocked |= seed
-            stack = [(start + b, blocked, 1 << e0)]
+            stack = [(b, seed_left, blocked, 1 << e0)]
             push, pop = stack.append, stack.pop
             while stack:
-                row, vmask, edges = pop()
-                for w, to, wx, step_edges in steps[row]:
+                v, left, vmask, edges = pop()
+                for w, x, wx, step_edges in steps[v]:
                     if not vmask & wx:
-                        push((to, vmask | wx, edges | step_edges))
+                        if left:
+                            push((x, left - 1, vmask | wx, edges | step_edges))
                     elif w == a:  # a is blocked, so a closing step lands here
                         vertex_set = vmask ^ blocked | seed
                         head = vertex_set.bit_count() << n | everyone ^ vertex_set
@@ -501,10 +489,11 @@ def _run_share(fn, items: list, start: int, step: int):
     return results, None
 
 
-def _child_share(fn, items: list, start: int, step: int, fd: int):
-    """Run one share in a forked child, write it pickled to fd and leave by
-    os._exit, so the child never flushes the parent's buffered output or
-    runs its exit handlers. Exit status 0 means the whole share was written.
+def _child_share(fn, items: list, start: int, step: int, pipe):
+    """Run one share in a forked child, write it pickled to `pipe`, a binary
+    file, and leave by os._exit, so the child never flushes the parent's
+    buffered output or runs its exit handlers. Exit status 0 means the whole
+    share was written.
     """
     import pickle  # loaded by _fan_out before the fork: a sys.modules lookup
     import traceback
@@ -515,7 +504,7 @@ def _child_share(fn, items: list, start: int, step: int, fd: int):
         text = None
         if failure is not None:
             text = "".join(traceback.format_exception(failure[1]))
-        with open(fd, "wb") as pipe:
+        with pipe:
             pipe.write(pickle.dumps((results, failure, text)))
         status = 0
     finally:
@@ -553,13 +542,12 @@ def _fan_out(fn, items, jobs: int) -> list:
     try:
         for p in range(1, jobs):
             r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(r)
-                _child_share(fn, items, p, jobs, w)  # never returns
-            os.close(w)
-            pids.append(pid)
             pipes.append(open(r, "rb"))
+            with open(w, "wb") as out:  # closed here even if the fork fails
+                pid = os.fork()
+                if pid == 0:
+                    _child_share(fn, items, p, jobs, out)  # never returns
+            pids.append(pid)
         own = _run_share(fn, items, 0, jobs)
         received = [pipe.read() for pipe in pipes]
     finally:

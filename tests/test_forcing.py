@@ -1,6 +1,7 @@
 """Both forcing engines, alternating-cycle enumeration, cycle packings, and
 the fork-and-pipe fan-out that shares items out to worker processes."""
 
+import errno
 import os
 import signal
 import subprocess
@@ -215,12 +216,14 @@ def test_ascending_keys_give_the_canonical_order():
 def test_capped_walker_matches_filtered_full_list(g):
     # every cap, with nothing avoided, with the witness (which leaves no
     # cycle) and with each of its edges alone (which leaves some)
+    shift = g.num_vertices + g.num_edges  # a key shifted by this is its length
     for m in enumerate_perfect_matchings(g):
         full = enumerate_alternating_cycles(g, m)
         keys = alternating_cycle_keys(g, m)  # keys[i] is the key of full[i]
         walk = _alternating_cycle_walker(g, m)
         witness = forcing_number_by_hitting_set(g, m, keys).witness
         for avoid in (0, witness, *(1 << e for e in iter_bits(witness))):
+            in_walk_order = list(walk(avoid=avoid))
             for cap in range(0, g.num_vertices + 3):
                 expected = [
                     key
@@ -228,6 +231,10 @@ def test_capped_walker_matches_filtered_full_list(g):
                     if len(c.vertices) <= cap and not c.matched_edges & avoid
                 ]
                 assert sorted(walk(cap, avoid)) == expected, (g, m, avoid, cap)
+                # a cap only cuts subtrees: the uncapped walk's order, filtered
+                assert list(walk(cap, avoid)) == [
+                    k for k in in_walk_order if k >> shift <= cap
+                ], (g, m, avoid, cap)
             uncapped = [k for k, c in zip(keys, full) if not c.matched_edges & avoid]
             assert sorted(walk(avoid=avoid)) == uncapped
 
@@ -564,6 +571,32 @@ def test_fan_out_reports_a_child_killed_by_a_signal(deadline):
 
     with pytest.raises(RuntimeError, match="killed by signal 9 before sending its results"):
         _fan_out(fn, range(6), 3)
+    assert_no_children()
+
+
+def test_fan_out_closes_the_pipe_when_a_fork_fails(monkeypatch, deadline):
+    # the first fork succeeds and its child is killed and reaped; the second
+    # raises, and neither end of its pipe stays open
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    open_fds = len(os.listdir("/dev/fd"))
+    with pytest.raises(OSError):
+        _fan_out(lambda x: x, range(10), 3)
+    assert len(os.listdir("/dev/fd")) == open_fds
+    assert_no_children()
+
+
+def test_fan_out_without_fork_runs_serially(monkeypatch, deadline):
+    monkeypatch.delattr(os, "fork")
+    assert _fan_out(lambda x: (x, x * x), range(10), 3) == [(x, x * x) for x in range(10)]
     assert_no_children()
 
 
