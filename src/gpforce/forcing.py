@@ -19,11 +19,12 @@ engines here must always agree:
 Their agreement on every input is itself a theorem, which makes running both
 a built-in correctness oracle.
 
-The alternating cycles come from a depth-first walk on an explicit stack.
-Each stack entry carries the path's last vertex, the steps it may still take,
-and its vertex and edge masks, not the path, and the walk yields one int per
-cycle, its canonical key. In a graph of N vertices and E edges, the key of a
-cycle with vertex set V and edge set S is
+The alternating cycles come from a walk that extends each seed edge's open
+paths one step per level, so it meets each seed's cycles shortest first.
+A level entry holds the path's last vertex and its vertex and edge masks,
+not the path, and the walk yields one int per cycle, its canonical key. In
+a graph of N vertices and E edges, the key of a cycle with vertex set V and
+edge set S is
 
     (|V| << N | the N-bit complement of rev(V)) << E | S,
 
@@ -32,7 +33,7 @@ one with the larger rev(V) has the lexicographically smaller sorted vertex
 tuple, so ascending keys order cycles by length, then sorted vertex tuple,
 then edge set: the canonical cycle order. key >> (N + E) is the cycle's
 vertex count and key & m its matched edges. A walk capped at a cycle length
-is the same search with a smaller step budget, so it yields the uncapped
+is the same walk stopped after fewer levels, so it yields the uncapped
 walk's keys of at most that length, in the same order; it can also skip the
 cycles that a given set of matched edges already meets.
 
@@ -100,27 +101,32 @@ def _alternating_cycle_walker(g: Graph, m: int):
     the M-alternating cycles of at most `cap` vertices (of any length when
     cap is None) whose matched edges miss `avoid`, a subset of m.
 
-    Depth-first search over alternating paths seeded at each matched edge
-    e0 = (a, b) with a < b: the path starts a, b and only visits matched edges
-    with index greater than e0, so e0 is the lexicographically smallest
-    matched edge of any cycle it closes and the fixed a -> b orientation rules
-    out the reversed traversal, so every cycle is closed exactly once. A cycle
-    through a vertex uses that vertex's matched edge, so the cycles that miss
-    `avoid` are exactly those that miss its vertices.
+    The alternating paths are seeded at each matched edge e0 = (a, b) with
+    a < b in turn, highest index first: the path starts a, b and only visits
+    matched edges with index greater than e0, so e0 is the lexicographically
+    smallest matched edge of any cycle it closes and the fixed a -> b
+    orientation rules out the reversed traversal, so every cycle is closed
+    exactly once. A high seed's paths have few matched edges to use, so its
+    cycles are short, and a walk that stops at its first key meets a short
+    cycle. A cycle through a vertex uses that vertex's matched edge, so the
+    cycles that miss `avoid` are exactly those that miss its vertices.
 
-    The walk keeps an explicit stack and tabulates each vertex's steps once
-    per matching: a step from v takes an unmatched edge v-w, then w's matched
-    edge to its partner x. A stack entry is (v, left, vmask, edges). left is
-    the number of steps that still add two vertices, so a walk capped at cap
-    vertices seeds b with cap // 2 - 1 (an uncapped walk is capped at N), a
-    free step is pushed only while left is positive, and a step back to a
-    closes the cycle at any left. vmask holds vertex v as bit N-1-v, as the
-    key does. It holds the path's vertices, the vertices of `avoid` and those
-    of every matched edge up to e0, so one test rejects a revisit and every
-    vertex this seed may not use. edges is the bitmask of the path's edges,
-    which names parallel edges apart. When a step reaches a again, the key is
-    packed from vmask, with the blocked vertices other than a and b taken
-    out, and from edges plus the step's two edges.
+    Each vertex's steps are tabulated once per matching: a step from v takes
+    an unmatched edge v-w, then w's matched edge to its partner x. One seed's
+    paths are walked level by level: level d holds the paths of d steps
+    after a, b, each as an entry (v, vmask, edges), and every step from an
+    entry either closes a cycle of 2d + 2 vertices or goes to level d + 1.
+    So a seed's cycles come out shortest first. A walk capped at cap
+    vertices (an uncapped walk is capped at N) walks cap // 2 levels and
+    pushes nothing on its last one. vmask holds vertex v as bit N-1-v, as
+    the key does. It holds the path's vertices, the vertices of `avoid` and
+    those of every matched edge up to e0, so one test rejects a revisit and
+    every vertex this seed may not use. As m covers every vertex, these
+    blocked vertices are all of them at the highest seed, and each seed
+    frees its own two for the seeds below it. edges is the bitmask of the
+    path's edges, which names parallel edges apart. When a step reaches a
+    again, the key is packed from vmask, with the blocked vertices other
+    than a and b taken out, and from edges plus the step's two edges.
     """
     if not is_perfect_matching(g, m):
         raise DomainError("not a perfect matching of this graph")
@@ -144,29 +150,27 @@ def _alternating_cycle_walker(g: Graph, m: int):
                 steps[v].append((w, x, bit[w] | bit[x], step_edges))
 
     def walk(cap: int | None = None, avoid: int = 0):
-        seed_left = (n if cap is None else cap) // 2 - 1
-        if seed_left < 0:  # not even a cycle of two vertices fits
-            return
-        blocked = 0
-        for eid in iter_bits(avoid):
-            p, q = g.edges[eid]
-            blocked |= bit[p] | bit[q]
-        for e0 in iter_bits(m & ~avoid):
+        levels = (n if cap is None else cap) // 2
+        blocked = everyone
+        for e0 in reversed(list(iter_bits(m & ~avoid))):
             a, b = g.edges[e0]
             seed = bit[a] | bit[b]
-            blocked |= seed
-            stack = [(b, seed_left, blocked, 1 << e0)]
-            push, pop = stack.append, stack.pop
-            while stack:
-                v, left, vmask, edges = pop()
-                for w, x, wx, step_edges in steps[v]:
-                    if not vmask & wx:
-                        if left:
-                            push((x, left - 1, vmask | wx, edges | step_edges))
-                    elif w == a:  # a is blocked, so a closing step lands here
-                        vertex_set = vmask ^ blocked | seed
-                        head = vertex_set.bit_count() << n | everyone ^ vertex_set
-                        yield head << num_edges | edges | step_edges
+            level = [(b, blocked, 1 << e0)]
+            for d in range(levels):  # level d: the paths of d steps after a, b
+                deeper = []
+                push = deeper.append
+                pushes = d < levels - 1  # the last level pushes nothing
+                for v, vmask, edges in level:
+                    for w, x, wx, step_edges in steps[v]:
+                        if not vmask & wx:
+                            if pushes:
+                                push((x, vmask | wx, edges | step_edges))
+                        elif w == a:  # a is blocked, so a closing step lands here
+                            vertex_set = vmask ^ blocked | seed
+                            head = vertex_set.bit_count() << n | everyone ^ vertex_set
+                            yield head << num_edges | edges | step_edges
+                level = deeper
+            blocked ^= seed  # the seeds below may use this edge
 
     return walk
 
@@ -198,7 +202,11 @@ def cycles_of_keys(g: Graph, m: int, keys: list[int]) -> list[AltCycle]:
     the cycle's lowest matched edge with a < b, as the walk's does. From each
     vertex reached by its matched edge, the path leaves by the one unmatched
     edge of the set there, told apart by edge id so that parallel edges stay
-    distinct, and then crosses the matched edge of the vertex it reaches.
+    distinct, and then crosses the matched edge of the vertex it reaches. A
+    cycle with k matched edges is back at a after k such steps. Raises
+    DomainError for a key with no matched edge, with no unmatched edge
+    leaving a vertex the path reaches, or whose path does not close within
+    those k steps or closes on fewer edges than the key has.
     """
     partner = [-1] * g.num_vertices
     for eid in iter_bits(m):
@@ -213,16 +221,22 @@ def cycles_of_keys(g: Graph, m: int, keys: list[int]) -> list[AltCycle]:
     for rev_v, key in zip(key_vertex_sets(g, keys), keys):
         edges = key & edge_mask
         matched = edges & m
+        if not matched:
+            raise DomainError(f"key {key:#x} has no edge of the matching")
         a, x = g.edges[(matched & -matched).bit_length() - 1]
         path = [a, x]
-        while True:
+        for _ in range(matched.bit_count()):  # a cycle closes in this many steps
             for ebit, w, partner_w in steps[x]:
                 if edges & ebit:
                     break
+            else:
+                raise DomainError(f"key {key:#x}: no unmatched edge leaves {x}")
             if w == a:
                 break
             x = partner_w
             path += (w, x)
+        if w != a or len(path) != edges.bit_count():
+            raise DomainError(f"key {key:#x}: its edges are not one closed path")
         vertex_set = int(format(rev_v, digits)[::-1], 2)
         cycles.append(AltCycle(tuple(path), edges, matched, vertex_set))
     return cycles
@@ -299,17 +313,19 @@ def forcing_number_by_hitting_set(
 
     `keys` is alternating_cycle_keys(g, m). The witness is the first minimum
     transversal of the cycles' matched edges, key & m, in that canonical
-    order, in _min_transversal's depth-first order.
+    order, in _min_transversal's depth-first order. Raises DomainError when
+    a key has no matched edge, as no edge set meets it.
 
     When `keys` is not given, the cycles are not all walked. Starting from
     the empty family, the search runs on the canonical prefix of cycles of at
     most `cap` vertices, and a walk that skips the witness's vertices looks
     for a cycle it leaves unhit; if there is one, cap rises to the length of
-    the shortest such cycle (capped walks, shortest cap first, look for one
-    shorter than the first the uncapped walk meets) and the search runs
-    again. Each round starts at the last round's f: its prefix contains the
-    last one, so its f is no smaller. Most matchings are settled by their
-    short cycles, so the long ones are never walked.
+    the first it meets, the shortest unhit cycle of its seed, and the search
+    runs again. That cycle is longer than the last cap, as the witness meets
+    every cycle up to it, so each round's prefix contains the last one and
+    its f is no smaller: each round starts at the last round's f. Most
+    matchings are settled by their short cycles, so the long ones are never
+    walked.
 
     The answer, witness included, is the one the full list gives. The sort
     key starts with length, so the prefix P is a prefix of the full list F.
@@ -320,16 +336,15 @@ def forcing_number_by_hitting_set(
     No F-leaf of size f comes before H* in depth-first order.
     """
     if keys is not None:
-        return _min_transversal([key & m for key in keys])
+        masks = [key & m for key in keys]
+        if not all(masks):  # no edge set meets an empty mask
+            raise DomainError("a key has no edge of the matching")
+        return _min_transversal(masks)
     walk = _alternating_cycle_walker(g, m)
     shift = g.num_vertices + g.num_edges  # a key shifted by this is its length
     f, h = 0, 0
-    cap = 0
     while (unhit := next(walk(avoid=h), None)) is not None:
-        length = unhit >> shift
-        shorter = (c for c in range(cap + 2, length, 2) if next(walk(c, h), None))
-        cap = next(shorter, length)
-        f, h = _min_transversal([key & m for key in sorted(walk(cap))], f)
+        f, h = _min_transversal([key & m for key in sorted(walk(unhit >> shift))], f)
     return ForcingResult(f, h)
 
 

@@ -29,6 +29,7 @@ from gpforce.forcing import (
     _fan_out,
     alternating_cycle_keys,
     compute_forcing,
+    cycles_of_keys,
     enumerate_alternating_cycles,
     forcing_number_by_hitting_set,
     forcing_number_by_subset_search,
@@ -43,6 +44,7 @@ from gpforce.matchings import (
     enumerate_perfect_matchings,
     iter_bits,
     parse_matching,
+    perfect_matchings,
 )
 
 # The five m1-alternating cycles of GP(5,2), straight from the published
@@ -246,6 +248,80 @@ def test_deepening_matches_full_cycle_list():
         for m in enumerate_perfect_matchings(g):
             full = forcing_number_by_hitting_set(g, m, alternating_cycle_keys(g, m))
             assert forcing_number_by_hitting_set(g, m) == full, (g, m)
+
+
+def test_walk_meets_each_seeds_cycles_shortest_first():
+    # a key's seed is the lowest matched edge of its cycle; in walk order,
+    # the keys of one seed never get shorter (small_graphs holds GP(n,2)
+    # for n = 5..14)
+    for g in small_graphs():
+        shift = g.num_vertices + g.num_edges
+        for m in enumerate_perfect_matchings(g):
+            last = {}  # seed -> length of its last key so far
+            for key in _alternating_cycle_walker(g, m)():
+                matched = key & m
+                seed, length = matched & -matched, key >> shift
+                assert length >= last.get(seed, 0), (g, m, key)
+                last[seed] = length
+
+
+def test_deepening_starts_one_capped_walk_per_round(monkeypatch):
+    # each round walks the cycles up to one cap, and only the uncapped
+    # checks look for an unhit cycle: no probe walks
+    real = forcing._alternating_cycle_walker
+    capped, uncapped = [], []
+
+    def counted(g, m):
+        walk = real(g, m)
+
+        def counted_walk(cap=None, avoid=0):
+            (uncapped if cap is None else capped).append(cap)
+            return walk(cap, avoid)
+
+        return counted_walk
+
+    monkeypatch.setattr(forcing, "_alternating_cycle_walker", counted)
+    for n in range(5, 16):
+        g = build_gp(n, 2)
+        for m in enumerate_perfect_matchings(g):
+            capped.clear()
+            uncapped.clear()
+            forcing_number_by_hitting_set(g, m)
+            assert len(capped) == len(uncapped) - 1, (n, m, capped)
+            assert capped == sorted(set(capped)), (n, m, capped)  # caps rise
+
+
+def test_cycles_of_keys_rejects_keys_that_are_not_cycles_of_m():
+    # the keys of another matching's cycles, keys with no matched edge to
+    # start from or no closing edge, and a cycle plus an edge off it raise
+    # instead of walking forever or returning a wrong cycle
+    g = build_gp(7, 2)
+    ms = perfect_matchings(g)
+    keys = alternating_cycle_keys(g, ms[5])
+    assert cycles_of_keys(g, ms[5], keys)  # the keys of its own cycles rebuild
+    with pytest.raises(DomainError):
+        cycles_of_keys(g, ms[0], keys)
+    for key, cycle in zip(keys, cycles_of_keys(g, ms[5], keys)):
+        edges = key & ((1 << g.num_edges) - 1)
+        off_cycle = [
+            e for e, ends in enumerate(g.edges) if not set(ends) & set(cycle.vertices)
+        ]
+        strays = [edges & ~ms[5], edges & ms[5], *(key | 1 << e for e in off_cycle)]
+        for stray in strays:
+            with pytest.raises(DomainError):
+                cycles_of_keys(g, ms[5], [stray])
+
+
+def test_hitting_set_rejects_a_key_with_no_matched_edge():
+    # no edge set can meet an empty mask, so the search would never end
+    g = build_gp(7, 2)
+    m = perfect_matchings(g)[0]
+    keys = alternating_cycle_keys(g, m)
+    for bad in ([1 << 200], keys + [keys[0] & ~m]):
+        with pytest.raises(DomainError):
+            forcing_number_by_hitting_set(g, m, bad)
+        with pytest.raises(DomainError):
+            compute_forcing(g, m, "hitting_set", bad)
 
 
 @pytest.mark.parametrize("n", range(15, 21))
