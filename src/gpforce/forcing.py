@@ -22,9 +22,12 @@ a built-in correctness oracle.
 The alternating cycles come from a walk that extends each seed edge's open
 paths one step per level, so it meets each seed's cycles shortest first.
 A level entry holds the path's last vertex and its vertex and edge masks,
-not the path, and the walk yields one int per cycle, its canonical key. In
-a graph of N vertices and E edges, the key of a cycle with vertex set V and
-edge set S is
+not the path. A path is extended only if it can still close within the
+levels left: each seed's table of the fewest steps back to the seed, made
+once per matching when first needed, bounds that from below for every cap
+and every set of skipped edges. The walk yields one int per cycle, its
+canonical key. In a graph of N vertices and E edges, the key of a cycle
+with vertex set V and edge set S is
 
     (|V| << N | the N-bit complement of rev(V)) << E | S,
 
@@ -33,9 +36,10 @@ one with the larger rev(V) has the lexicographically smaller sorted vertex
 tuple, so ascending keys order cycles by length, then sorted vertex tuple,
 then edge set: the canonical cycle order. key >> (N + E) is the cycle's
 vertex count and key & m its matched edges. A walk capped at a cycle length
-is the same walk stopped after fewer levels, so it yields the uncapped
-walk's keys of at most that length, in the same order; it can also skip the
-cycles that a given set of matched edges already meets.
+is the same walk stopped after fewer levels, less the paths that cannot
+close within them, so it yields the uncapped walk's keys of at most that
+length, in the same order; it can also skip the cycles that a given set of
+matched edges already meets.
 
 The transversal and the maximum disjoint packing, whose size C(G, M) bounds
 f(G, M) below, both read the sorted keys alternating_cycle_keys returns, so a
@@ -57,6 +61,7 @@ _fan_out imports them and a serial run never loads them.
 from __future__ import annotations
 
 import os
+from functools import cache
 from typing import NamedTuple
 
 from .graphs import DomainError, Graph
@@ -117,16 +122,30 @@ def _alternating_cycle_walker(g: Graph, m: int):
     after a, b, each as an entry (v, vmask, edges), and every step from an
     entry either closes a cycle of 2d + 2 vertices or goes to level d + 1.
     So a seed's cycles come out shortest first. A walk capped at cap
-    vertices (an uncapped walk is capped at N) walks cap // 2 levels and
-    pushes nothing on its last one. vmask holds vertex v as bit N-1-v, as
-    the key does. It holds the path's vertices, the vertices of `avoid` and
-    those of every matched edge up to e0, so one test rejects a revisit and
-    every vertex this seed may not use. As m covers every vertex, these
-    blocked vertices are all of them at the highest seed, and each seed
-    frees its own two for the seeds below it. edges is the bitmask of the
-    path's edges, which names parallel edges apart. When a step reaches a
-    again, the key is packed from vmask, with the blocked vertices other
-    than a and b taken out, and from edges plus the step's two edges.
+    vertices (an uncapped walk is capped at N) walks at most cap // 2
+    levels, 0 to cap // 2 - 1.
+
+    No path is pushed that cannot close by the last level. togo[x], per
+    seed, is the fewest steps from x that end by closing on a, crossing only
+    the vertices of matched edges above e0 (the closing step counts as
+    one). A backward search over the steps computes it the first time a walk
+    reaches the seed, and later walks reuse it. It ignores `avoid` and the
+    path's own vertices, which only block more steps, so it is a lower
+    bound for every cap and `avoid`. A path pushed from level d to x cannot
+    close before level d + togo[x], so it is pushed only when togo[x] <=
+    cap // 2 - 1 - d, the last level less d; a seed is skipped when togo[b]
+    > cap // 2. Every entry dropped would close no cycle, and the others
+    keep their order, so the keys and their order do not change.
+
+    vmask holds vertex v as bit N-1-v, as the key does. It holds the path's
+    vertices, the vertices of `avoid` and those of every matched edge up to
+    e0, so one test rejects a revisit and every vertex this seed may not
+    use. As m covers every vertex, these blocked vertices are all of them at
+    the highest seed, and each seed frees its own two for the seeds below
+    it. edges is the bitmask of the path's edges, which names parallel edges
+    apart. When a step reaches a again, the key is packed from vmask, with
+    the blocked vertices other than a and b taken out, and from edges plus
+    the step's two edges.
     """
     if not is_perfect_matching(g, m):
         raise DomainError("not a perfect matching of this graph")
@@ -140,14 +159,47 @@ def _alternating_cycle_walker(g: Graph, m: int):
         a, b = g.edges[eid]
         partner[a], partner[b] = b, a
         matched_edge_at[a] = matched_edge_at[b] = eid
-    # steps[v]: (w, x, bits of w and x, bits of the edges v-w and w-x)
+    # steps[v]: (w, x, bits of w and x, bits of the edges v-w and w-x), and
+    # into[x]: (v, bits of w and x) for the same steps, by where they end
     steps = [[] for _ in range(n)]
+    into = [[] for _ in range(n)]
     for v, pairs in enumerate(g.incident):
         for eid, w in pairs:
             if not m >> eid & 1:
                 x = partner[w]
                 step_edges = 1 << eid | 1 << matched_edge_at[w]
                 steps[v].append((w, x, bit[w] | bit[x], step_edges))
+                into[x].append((v, bit[w] | bit[x]))
+
+    # blocked_at[e0]: the vertices of the matched edges up to e0
+    blocked_at = {}
+    blocked = everyone
+    for e0 in reversed(list(iter_bits(m))):
+        blocked_at[e0] = blocked
+        p, q = g.edges[e0]
+        blocked ^= bit[p] | bit[q]
+
+    @cache
+    def distances(e0: int) -> list[int]:
+        # togo[v]: the fewest steps from v that close on a, through the
+        # vertices of the matched edges above e0 alone; n when there are none
+        _, b = g.edges[e0]
+        blocked = blocked_at[e0]
+        togo = [n] * n
+        frontier = [v for v, _ in into[b]]  # the steps into b cross a: they close
+        for v in frontier:
+            togo[v] = 1
+        t = 1
+        while frontier:
+            t += 1
+            reached = []
+            for x in frontier:
+                for v, wx in into[x]:
+                    if togo[v] > t and not wx & blocked:
+                        togo[v] = t
+                        reached.append(v)
+            frontier = reached
+        return togo
 
     def walk(cap: int | None = None, avoid: int = 0):
         levels = (n if cap is None else cap) // 2
@@ -155,21 +207,23 @@ def _alternating_cycle_walker(g: Graph, m: int):
         for e0 in reversed(list(iter_bits(m & ~avoid))):
             a, b = g.edges[e0]
             seed = bit[a] | bit[b]
-            level = [(b, blocked, 1 << e0)]
-            for d in range(levels):  # level d: the paths of d steps after a, b
+            togo = distances(e0)
+            level = [(b, blocked, 1 << e0)] if togo[b] <= levels else []
+            left = levels - 1  # the steps a path pushed from this level may take
+            while level:
                 deeper = []
                 push = deeper.append
-                pushes = d < levels - 1  # the last level pushes nothing
                 for v, vmask, edges in level:
                     for w, x, wx, step_edges in steps[v]:
                         if not vmask & wx:
-                            if pushes:
+                            if togo[x] <= left:  # it can still close in time
                                 push((x, vmask | wx, edges | step_edges))
                         elif w == a:  # a is blocked, so a closing step lands here
                             vertex_set = vmask ^ blocked | seed
                             head = vertex_set.bit_count() << n | everyone ^ vertex_set
                             yield head << num_edges | edges | step_edges
                 level = deeper
+                left -= 1
             blocked ^= seed  # the seeds below may use this edge
 
     return walk
@@ -206,9 +260,13 @@ def cycles_of_keys(g: Graph, m: int, keys: list[int]) -> list[AltCycle]:
     cycle with k matched edges is back at a after k such steps. Raises
     DomainError for a key with no matched edge, with no unmatched edge
     leaving a vertex the path reaches, or whose path does not close within
-    those k steps or closes on fewer edges than the key has.
+    those k steps or closes on fewer edges than the key has. It also raises
+    when the path repeats a vertex, or when the key's vertex count or vertex
+    set is not the path's. So the AltCycle's vertex_set is always the path's.
     """
-    partner = [-1] * g.num_vertices
+    n = g.num_vertices
+    everyone = (1 << n) - 1
+    partner = [-1] * n
     for eid in iter_bits(m):
         p, q = g.edges[eid]
         partner[p], partner[q] = q, p
@@ -216,9 +274,8 @@ def cycles_of_keys(g: Graph, m: int, keys: list[int]) -> list[AltCycle]:
     steps = [[(1 << eid, w, partner[w]) for eid, w in pairs if not m >> eid & 1]
              for pairs in g.incident]
     edge_mask = (1 << g.num_edges) - 1
-    digits = f"0{g.num_vertices}b"  # read backwards, rev(V) is V again
     cycles = []
-    for rev_v, key in zip(key_vertex_sets(g, keys), keys):
+    for key in keys:
         edges = key & edge_mask
         matched = edges & m
         if not matched:
@@ -237,8 +294,11 @@ def cycles_of_keys(g: Graph, m: int, keys: list[int]) -> list[AltCycle]:
             path += (w, x)
         if w != a or len(path) != edges.bit_count():
             raise DomainError(f"key {key:#x}: its edges are not one closed path")
-        vertex_set = int(format(rev_v, digits)[::-1], 2)
-        cycles.append(AltCycle(tuple(path), edges, matched, vertex_set))
+        rev_v = sum(1 << n - 1 - v for v in set(path))
+        head = len(path) << n | everyone ^ rev_v
+        if rev_v.bit_count() != len(path) or key >> g.num_edges != head:
+            raise DomainError(f"key {key:#x}: its vertex fields are not its path's")
+        cycles.append(AltCycle(tuple(path), edges, matched, sum(1 << v for v in path)))
     return cycles
 
 

@@ -151,6 +151,10 @@ def small_graphs():
     # a 4-cycle with edge 1-2 doubled: two of its cycles share one vertex
     # sequence, and the doubled pair is a cycle of two vertices
     graphs.append(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 2)]))
+    # two disjoint 4-cycles: a seed in one cannot reach the other at all
+    graphs.append(
+        Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+    )
     return graphs
 
 
@@ -241,6 +245,38 @@ def test_capped_walker_matches_filtered_full_list(g):
             assert sorted(walk(avoid=avoid)) == uncapped
 
 
+def key_of(g, cycle):
+    # the canonical key of an AltCycle, from its vertex set and edges
+    n = g.num_vertices
+    reversed_set = sum(1 << (n - 1 - v) for v in cycle.vertices)
+    head = len(cycle.vertices) << n | ((1 << n) - 1) ^ reversed_set
+    return head << g.num_edges | cycle.edges
+
+
+@pytest.mark.parametrize("n", [22, 24])
+def test_capped_walk_matches_uncapped_order_on_orbit_representatives(n):
+    # the distance bound only drops paths that cannot close within the cap:
+    # every even cap, with nothing avoided and with the witness avoided,
+    # yields the uncapped walk's keys of at most that length, in its order,
+    # and the reference walk's cycles. The witness comes from the full key
+    # list, because the deepening never ends if a capped walk drops a cycle
+    g = build_gp(n, 2)
+    shift = g.num_vertices + g.num_edges
+    ms = enumerate_perfect_matchings(g)
+    for orbit in reference_orbits(g, ms, [0] * len(ms), group="dihedral"):
+        m = orbit.representative
+        walk = _alternating_cycle_walker(g, m)
+        reference = recursive_alternating_cycles(g, m)
+        witness = forcing_number_by_hitting_set(g, m, sorted(walk())).witness
+        for avoid in (0, witness):
+            in_walk_order = list(walk(avoid=avoid))
+            keys = [key_of(g, c) for c in reference if not c.matched_edges & avoid]
+            for cap in range(0, g.num_vertices + 1, 2):
+                capped = list(walk(cap, avoid))
+                assert capped == [k for k in in_walk_order if k >> shift <= cap], (m, cap)
+                assert sorted(capped) == [k for k in keys if k >> shift <= cap], (m, cap)
+
+
 def test_deepening_matches_full_cycle_list():
     # forcing number and witness both: the deepening must pick the witness
     # the search over every cycle picks
@@ -310,6 +346,34 @@ def test_cycles_of_keys_rejects_keys_that_are_not_cycles_of_m():
         for stray in strays:
             with pytest.raises(DomainError):
                 cycles_of_keys(g, ms[5], [stray])
+
+
+def test_cycles_of_keys_rejects_a_vertex_field_that_is_not_the_paths():
+    # the edges rebuild the path; a key whose vertex set or vertex count
+    # disagrees with it raises instead of giving a cycle whose vertex_set is
+    # not that of its vertices
+    g = build_gp(7, 2)
+    m = perfect_matchings(g)[5]
+    first = alternating_cycle_keys(g, m)[0]
+    (cycle,) = cycles_of_keys(g, m, [first])
+    assert cycle.vertex_set == sum(1 << v for v in cycle.vertices)
+    n, e = g.num_vertices, g.num_edges
+    for flip in (*(1 << e + v for v in range(n)), 1 << e + n):
+        with pytest.raises(DomainError):
+            cycles_of_keys(g, m, [first ^ flip])
+
+
+def test_cycles_of_keys_rejects_a_path_that_repeats_a_vertex():
+    # matched 0-1, 2-3, 4-5, 6-7: from 1 the path goes 2, 3, back through 1
+    # to 0, then 4, 5 and closes at 0 in the four steps that the key's four
+    # matched edges allow; its 8 edges are the key's 8 edges, but vertices 0
+    # and 1 come twice
+    g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7), (1, 2), (3, 1), (0, 4), (5, 0)])
+    m = 0b1111
+    reversed_set = sum(1 << (7 - v) for v in range(6))
+    key = (8 << 8 | 0xFF ^ reversed_set) << 8 | 0xFF
+    with pytest.raises(DomainError):
+        cycles_of_keys(g, m, [key])
 
 
 def test_hitting_set_rejects_a_key_with_no_matched_edge():
