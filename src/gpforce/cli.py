@@ -45,12 +45,9 @@ from .forcing import (
     compute_forcing,
     cycles_of_keys,
     enumerate_alternating_cycles,
-    key_vertex_sets,
-    max_disjoint_vertex_sets,
+    max_disjoint_alternating_cycles,  # noqa: F401 (bench/tracing.py patches it)
+    max_disjoint_sets,
 )
-
-# unused here since packing reads the keys, but bench/tracing.py patches it
-from .forcing import max_disjoint_alternating_cycles  # noqa: F401
 from .graphs import DomainError, build_gp, validate
 from .matchings import (
     edge_indices,
@@ -239,7 +236,7 @@ def cmd_force(args, out) -> int:
     m = _parse_perfect_matching(g, args.matching)
     keys = alternating_cycle_keys(g, m)
     result = compute_forcing(g, m, _ENGINES[args.engine], keys)
-    packing = max_disjoint_vertex_sets(key_vertex_sets(g, keys))
+    packing = max_disjoint_sets([key & m for key in keys])
     if args.fmt == "json":
         out.write(
             _dumps(
@@ -301,7 +298,7 @@ def cmd_packing(args, out) -> int:
     g = build_gp(args.n, args.k)
     m = _parse_perfect_matching(g, args.matching)
     keys = alternating_cycle_keys(g, m)
-    chosen = max_disjoint_vertex_sets(key_vertex_sets(g, keys))
+    chosen = max_disjoint_sets([key & m for key in keys])
     packing = cycles_of_keys(g, m, [keys[p] for p in chosen])
     if args.fmt == "json":
         out.write(

@@ -42,12 +42,12 @@ length, in the same order; it can also skip the cycles that a given set of
 matched edges already meets.
 
 The transversal and the maximum disjoint packing, whose size C(G, M) bounds
-f(G, M) below, both read the sorted keys alternating_cycle_keys returns, so a
-caller that needs both walks once and passes the keys on. Without them the
-transversal deepens instead: it solves on the short cycles and walks longer
-ones only while its witness leaves one of them unhit. AltCycle objects, with
-their vertex paths, are rebuilt from keys by cycles_of_keys, for the cycles
-a caller prints.
+f(G, M) below, both read the cycles' matched edges, key & m of the sorted
+keys alternating_cycle_keys returns, so a caller that needs both walks once
+and passes the keys on. Without them the transversal deepens instead: it
+solves on the short cycles and walks longer ones only while its witness
+leaves one of them unhit. AltCycle objects, with their vertex paths, are
+rebuilt from keys by cycles_of_keys, for the cycles a caller prints.
 
 forcing_numbers_map runs one engine over many matchings, in one process or
 fanned out by _fan_out: jobs - 1 forked children each compute a strided
@@ -235,13 +235,6 @@ def alternating_cycle_keys(g: Graph, m: int) -> list[int]:
     return sorted(_alternating_cycle_walker(g, m)())
 
 
-def key_vertex_sets(g: Graph, keys: list[int]) -> list[int]:
-    """The vertex set of each canonical key, vertex v as bit N-1-v."""
-    everyone = (1 << g.num_vertices) - 1
-    num_edges = g.num_edges
-    return [key >> num_edges & everyone ^ everyone for key in keys]
-
-
 def enumerate_alternating_cycles(g: Graph, m: int) -> list[AltCycle]:
     """Every M-alternating cycle of (g, m), each exactly once, in the
     canonical order: ascending length, then lexicographic vertex set, then
@@ -374,7 +367,8 @@ def forcing_number_by_hitting_set(
     `keys` is alternating_cycle_keys(g, m). The witness is the first minimum
     transversal of the cycles' matched edges, key & m, in that canonical
     order, in _min_transversal's depth-first order. Raises DomainError when
-    a key has no matched edge, as no edge set meets it.
+    m is not a perfect matching of g, or when a key has no matched edge, as
+    no edge set meets it.
 
     When `keys` is not given, the cycles are not all walked. Starting from
     the empty family, the search runs on the canonical prefix of cycles of at
@@ -395,6 +389,8 @@ def forcing_number_by_hitting_set(
     have fewer than f_P picks, and H*, which meets every cycle, is an F-leaf.
     No F-leaf of size f comes before H* in depth-first order.
     """
+    if not is_perfect_matching(g, m):
+        raise DomainError("not a perfect matching of this graph")
     if keys is not None:
         masks = [key & m for key in keys]
         if not all(masks):  # no edge set meets an empty mask
@@ -469,26 +465,31 @@ def forcing_number_by_subset_search(g: Graph, m: int) -> ForcingResult:
     return ForcingResult(k, witness)
 
 
-def max_disjoint_vertex_sets(vertex_sets: list[int]) -> tuple[int, ...]:
-    """The positions in `vertex_sets`, the cycles' vertex sets in canonical
-    order (of keys or of AltCycles), of the first maximum family of pairwise
-    disjoint sets in index order; its length is C(g, m).
+def max_disjoint_sets(sets: list[int]) -> tuple[int, ...]:
+    """The positions in `sets`, the cycles' matched edges in canonical order
+    (key & m of each key, or each AltCycle's matched_edges), of the first
+    maximum family of pairwise disjoint sets in index order; its length is
+    C(g, m). Raises DomainError when a set is empty. Each vertex lies on its
+    own matched edge, so two M-alternating cycles share a vertex exactly
+    when they share a matched edge, and a cycle of 2k vertices has k of them.
 
     Exhaustive branch and bound over the list: each node keeps the later
     sets disjoint from everything chosen, and stops before branching on
     candidate j when no family from candidates[j:] can beat the incumbent.
     Such a family has at most len(candidates) - j sets, and at most the
     union of candidates[j:] over the size of candidates[j], which the
-    canonical order (ascending length) makes the suffix's smallest set; the
-    bound only falls as j grows. Only branches that cannot strictly beat the
-    incumbent are cut, so the search finds the first maximum family in
-    index order, as an unpruned search would.
+    canonical order (ascending length, so ascending size) makes the
+    suffix's smallest set; the bound only falls as j grows. Only branches
+    that cannot strictly beat the incumbent are cut, so the search finds the
+    first maximum family in index order, as an unpruned search would.
 
-    Two cycles can share a vertex set. That family never holds the later of
-    two such cycles, because putting the earlier in its place gives a family
-    of the same size that comes first in index order. So each chosen set is
-    at the first position that holds it.
+    Two cycles can share their matched edges. That family never holds the
+    later of two such cycles, because putting the earlier in its place gives
+    a family of the same size that comes first in index order. So each
+    chosen set is at the first position that holds it.
     """
+    if not all(sets):  # the size bound divides by each candidate's size
+        raise DomainError("an empty set is no alternating cycle's matched edges")
     best: tuple[int, ...] = ()
 
     def grow(candidates: list[int], chosen: tuple[int, ...]):
@@ -505,15 +506,15 @@ def max_disjoint_vertex_sets(vertex_sets: list[int]) -> tuple[int, ...]:
                 return
             grow([d for d in candidates[j + 1 :] if not d & c], chosen + (c,))
 
-    grow(vertex_sets, ())
-    return tuple(vertex_sets.index(s) for s in best)
+    grow(sets, ())
+    return tuple(sets.index(s) for s in best)
 
 
 def max_disjoint_alternating_cycles(cycles: list[AltCycle]) -> tuple[AltCycle, ...]:
     """A maximum family of pairwise vertex-disjoint cycles from `cycles`,
     the list enumerate_alternating_cycles(g, m) returns: the family
-    max_disjoint_vertex_sets finds, as cycles."""
-    chosen = max_disjoint_vertex_sets([c.vertex_set for c in cycles])
+    max_disjoint_sets finds on their matched edges, as cycles."""
+    chosen = max_disjoint_sets([c.matched_edges for c in cycles])
     return tuple(cycles[p] for p in chosen)
 
 

@@ -35,6 +35,7 @@ from gpforce.forcing import (
     forcing_number_by_subset_search,
     is_forcing,
     max_disjoint_alternating_cycles,
+    max_disjoint_sets,
 )
 from gpforce.graphs import DomainError, Graph, build_gp
 from gpforce.matchings import (
@@ -377,11 +378,15 @@ def test_cycles_of_keys_rejects_a_path_that_repeats_a_vertex():
 
 
 def test_hitting_set_rejects_a_key_with_no_matched_edge():
-    # no edge set can meet an empty mask, so the search would never end
+    # no edge set can meet an empty mask, so the search would never end; and
+    # the keys of a perfect matching given with an m that is not one
     g = build_gp(7, 2)
     m = perfect_matchings(g)[0]
     keys = alternating_cycle_keys(g, m)
-    for bad in ([1 << 200], keys + [keys[0] & ~m]):
+    m5 = perfect_matchings(g)[5]
+    cases = [(m, [1 << 200]), (m, keys + [keys[0] & ~m])]
+    cases.append((m5 & (m5 - 1), alternating_cycle_keys(g, m5)))  # less its lowest edge
+    for m, bad in cases:
         with pytest.raises(DomainError):
             forcing_number_by_hitting_set(g, m, bad)
         with pytest.raises(DomainError):
@@ -571,6 +576,27 @@ def rescanning_packing(cycles):
 
     grow(0, 0, [])
     return tuple(best)
+
+
+def test_cycles_share_a_vertex_exactly_when_they_share_a_matched_edge():
+    # the packing reads matched edges in place of vertex sets: each vertex
+    # lies on its own matched edge, so both give the same disjoint pairs, and
+    # a cycle has twice as many vertices as matched edges
+    for g in small_graphs():
+        for m in enumerate_perfect_matchings(g):
+            cycles = enumerate_alternating_cycles(g, m)
+            for c in cycles:
+                assert c.vertex_set.bit_count() == 2 * c.matched_edges.bit_count()
+            for c, d in combinations(cycles, 2):
+                assert bool(c.vertex_set & d.vertex_set) == bool(
+                    c.matched_edges & d.matched_edges
+                ), (g, m, c, d)
+
+
+def test_packing_rejects_an_empty_set():
+    # the size bound divides by a set's size; no cycle has no matched edge
+    with pytest.raises(DomainError):
+        max_disjoint_sets([0b11, 0])
 
 
 def test_packing_matches_rescanning_packing():
