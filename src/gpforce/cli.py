@@ -236,7 +236,7 @@ def cmd_force(args, out) -> int:
     m = _parse_perfect_matching(g, args.matching)
     keys = alternating_cycle_keys(g, m)
     result = compute_forcing(g, m, _ENGINES[args.engine], keys)
-    packing = max_disjoint_sets([key & m for key in keys])
+    packing = max_disjoint_sets([key & m for key in keys], result.forcing_number)
     if args.fmt == "json":
         out.write(
             _dumps(

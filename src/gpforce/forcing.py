@@ -44,10 +44,12 @@ matched edges already meets.
 The transversal and the maximum disjoint packing, whose size C(G, M) bounds
 f(G, M) below, both read the cycles' matched edges, key & m of the sorted
 keys alternating_cycle_keys returns, so a caller that needs both walks once
-and passes the keys on. Without them the transversal deepens instead: it
-solves on the short cycles and walks longer ones only while its witness
-leaves one of them unhit. AltCycle objects, with their vertex paths, are
-rebuilt from keys by cycles_of_keys, for the cycles a caller prints.
+and passes the keys on, and can stop the packing once it holds f cycles.
+The transversal deepens on both paths: it solves on the short cycles and
+looks at longer ones only while its witness leaves one of them unhit, in
+the walk or, when given, in the key list. AltCycle objects, with their
+vertex paths, are rebuilt from keys by cycles_of_keys, for the cycles a
+caller prints.
 
 forcing_numbers_map runs one engine over many matchings, in one process or
 fanned out by _fan_out: jobs - 1 forked children each compute a strided
@@ -61,6 +63,7 @@ _fan_out imports them and a serial run never loads them.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from functools import cache
 from typing import NamedTuple
 
@@ -327,7 +330,7 @@ def _greedy_disjoint_count(masks) -> int:
     return count
 
 
-def _min_transversal(cycle_masks: list[int], k: int = 0) -> ForcingResult:
+def _min_transversal(cycle_masks: list[int], k: int) -> ForcingResult:
     """The minimum size f of an edge set that meets every mask, and the
     first such set in depth-first order, where a node branches on the first
     unmet mask's edges in ascending index order.
@@ -338,12 +341,22 @@ def _min_transversal(cycle_masks: list[int], k: int = 0) -> ForcingResult:
     masks remain than picks. No leaf has fewer than f picks, so the first k
     that succeeds is f. The cut keeps every node above a leaf of f picks,
     so the leaf found is the first of size f in the unpruned order.
+
+    A node with one pick left is settled without branching. Its leaves are
+    the edges common to every unmet mask, and the first in branching order
+    is the lowest, the lowest bit of the masks' AND; when the AND is 0 there
+    is none, as there is when two of them are disjoint.
     """
 
     def first(left: int, masks: list[int]) -> int | None:
         # the first leaf of at most `left` picks that meets every mask
         if not masks:
             return 0
+        if left == 1:
+            common = masks[0]
+            for cm in masks:
+                common &= cm
+            return common & -common or None
         if _greedy_disjoint_count(masks) > left:
             return None
         for eid in iter_bits(masks[0]):
@@ -368,18 +381,21 @@ def forcing_number_by_hitting_set(
     transversal of the cycles' matched edges, key & m, in that canonical
     order, in _min_transversal's depth-first order. Raises DomainError when
     m is not a perfect matching of g, or when a key has no matched edge, as
-    no edge set meets it.
+    no edge set meets it and the search below would never end.
 
-    When `keys` is not given, the cycles are not all walked. Starting from
-    the empty family, the search runs on the canonical prefix of cycles of at
-    most `cap` vertices, and a walk that skips the witness's vertices looks
-    for a cycle it leaves unhit; if there is one, cap rises to the length of
-    the first it meets, the shortest unhit cycle of its seed, and the search
-    runs again. That cycle is longer than the last cap, as the witness meets
-    every cycle up to it, so each round's prefix contains the last one and
-    its f is no smaller: each round starts at the last round's f. Most
-    matchings are settled by their short cycles, so the long ones are never
-    walked.
+    The search deepens over the cycles. Starting from the empty family, it
+    runs on the canonical prefix of cycles of at most `cap` vertices, and a
+    walk that skips the witness's vertices looks for a cycle it leaves
+    unhit; if there is one, cap rises to the length of the first it meets
+    and the search runs again. That cycle is longer than the last cap, as
+    the witness meets every cycle up to it, so each round's prefix contains
+    the last one and its f is no smaller: each round starts at the last
+    round's f. Without `keys` the walk is the cycle walk, whose first unhit
+    cycle is the shortest of its seed, and the long cycles of most matchings
+    are never walked. With `keys` it reads the list: the prefix up to cap is
+    a slice, found by bisection as the keys ascend by length, and the first
+    unhit key is the shortest unhit cycle. So the transversal never searches
+    the many long cycles that a witness of the short ones already meets.
 
     The answer, witness included, is the one the full list gives. The sort
     key starts with length, so the prefix P is a prefix of the full list F.
@@ -391,13 +407,17 @@ def forcing_number_by_hitting_set(
     """
     if not is_perfect_matching(g, m):
         raise DomainError("not a perfect matching of this graph")
-    if keys is not None:
-        masks = [key & m for key in keys]
-        if not all(masks):  # no edge set meets an empty mask
-            raise DomainError("a key has no edge of the matching")
-        return _min_transversal(masks)
-    walk = _alternating_cycle_walker(g, m)
     shift = g.num_vertices + g.num_edges  # a key shifted by this is its length
+    if keys is None:
+        walk = _alternating_cycle_walker(g, m)
+    elif not all(key & m for key in keys):
+        raise DomainError("a key has no edge of the matching")
+    else:
+        def walk(cap: int | None = None, avoid: int = 0):
+            if cap is None:
+                return (key for key in keys if not key & avoid)
+            return keys[: bisect_left(keys, (cap + 1) << shift)]
+
     f, h = 0, 0
     while (unhit := next(walk(avoid=h), None)) is not None:
         f, h = _min_transversal([key & m for key in sorted(walk(unhit >> shift))], f)
@@ -465,7 +485,7 @@ def forcing_number_by_subset_search(g: Graph, m: int) -> ForcingResult:
     return ForcingResult(k, witness)
 
 
-def max_disjoint_sets(sets: list[int]) -> tuple[int, ...]:
+def max_disjoint_sets(sets: list[int], bound: int | None = None) -> tuple[int, ...]:
     """The positions in `sets`, the cycles' matched edges in canonical order
     (key & m of each key, or each AltCycle's matched_edges), of the first
     maximum family of pairwise disjoint sets in index order; its length is
@@ -487,9 +507,17 @@ def max_disjoint_sets(sets: list[int]) -> tuple[int, ...]:
     later of two such cycles, because putting the earlier in its place gives
     a family of the same size that comes first in index order. So each
     chosen set is at the first position that holds it.
+
+    `bound`, when given, must be at least C(g, m), as f(g, m) is, since each
+    cycle of a disjoint family needs an edge of its own in a forcing set.
+    The search then returns as soon as the incumbent has `bound` sets. Only
+    a strictly larger family replaces the incumbent, so the first family of
+    C sets is the one an unbounded search returns, and when C = bound no
+    later branch can beat it.
     """
     if not all(sets):  # the size bound divides by each candidate's size
         raise DomainError("an empty set is no alternating cycle's matched edges")
+    most = len(sets) if bound is None else bound  # no family has more sets
     best: tuple[int, ...] = ()
 
     def grow(candidates: list[int], chosen: tuple[int, ...]):
@@ -502,7 +530,7 @@ def max_disjoint_sets(sets: list[int]) -> tuple[int, ...]:
             unions[j] = unions[j + 1] | candidates[j]
         for j, c in enumerate(candidates):
             room = unions[j].bit_count() // c.bit_count()
-            if len(chosen) + min(k - j, room) <= len(best):
+            if min(len(chosen) + min(k - j, room), most) <= len(best):
                 return
             grow([d for d in candidates[j + 1 :] if not d & c], chosen + (c,))
 

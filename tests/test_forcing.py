@@ -279,11 +279,13 @@ def test_capped_walk_matches_uncapped_order_on_orbit_representatives(n):
 
 
 def test_deepening_matches_full_cycle_list():
-    # forcing number and witness both: the deepening must pick the witness
-    # the search over every cycle picks
+    # forcing number and witness both: the deepening, over the walk and over
+    # the key list, must pick the witness the search over every cycle picks
     for g in small_graphs():
         for m in enumerate_perfect_matchings(g):
-            full = forcing_number_by_hitting_set(g, m, alternating_cycle_keys(g, m))
+            keys = alternating_cycle_keys(g, m)
+            full = forcing_number_by_hitting_set(g, m, keys)
+            assert full == reference_min_transversal(m, [k & m for k in keys]), (g, m)
             assert forcing_number_by_hitting_set(g, m) == full, (g, m)
 
 
@@ -399,7 +401,10 @@ def test_deepening_matches_full_cycle_list_on_orbit_representatives(n):
     ms = enumerate_perfect_matchings(g)
     for orbit in reference_orbits(g, ms, [0] * len(ms), group="dihedral"):
         m = orbit.representative
-        full = forcing_number_by_hitting_set(g, m, alternating_cycle_keys(g, m))
+        keys = alternating_cycle_keys(g, m)
+        full = forcing_number_by_hitting_set(g, m, keys)
+        # both paths deepen, so the anchor is the search over the full list
+        assert full == reference_min_transversal(m, [k & m for k in keys]), m
         assert forcing_number_by_hitting_set(g, m) == full, m
 
 
@@ -407,32 +412,45 @@ def test_deepening_matches_full_cycle_list_on_orbit_representatives(n):
     "n, k", [*((n, 2) for n in range(21, 27)), (7, 3), (9, 4), (11, 3), (13, 5), (14, 3)]
 )
 def test_transversal_matches_incumbent_reference(monkeypatch, n, k):
-    # every (masks, start k) that the deepening and the full key list hand
-    # the transversal on a dihedral orbit representative: the same f and
-    # witness as the incumbent search, and no start above f
+    # every (masks, start k) that the deepenings over the walk and over the
+    # key list hand the transversal on a dihedral orbit representative: the
+    # same f and witness as the incumbent search, and no start above f; and
+    # both deepenings give the incumbent search's answer on the full list.
+    # Each round over the key list searches the cycles up to one length, and
+    # some stop short of the longest, so that path deepens too
     calls = []
     transversal = forcing._min_transversal
 
-    def recorded(masks, start=0):
+    def recorded(masks, start):
         result = transversal(masks, start)
         calls.append((masks, start, result))
         return result
 
     monkeypatch.setattr(forcing, "_min_transversal", recorded)
     g = build_gp(n, k)
+    shift = g.num_vertices + g.num_edges  # a key shifted by this is its length
     ms = enumerate_perfect_matchings(g)
-    highest_start = 0
+    highest_start = short_rounds = 0
     for orbit in reference_orbits(g, ms, [0] * len(ms), group="dihedral"):
         m = orbit.representative
+        keys = alternating_cycle_keys(g, m)
+        full = [key & m for key in keys]
         calls.clear()
+        listed = forcing_number_by_hitting_set(g, m, keys)
+        for masks, _, _ in calls:
+            end = len(masks)
+            assert masks == full[:end], m
+            assert end == len(keys) or keys[end] >> shift > keys[end - 1] >> shift, m
+            short_rounds += end < len(keys)
         deepened = forcing_number_by_hitting_set(g, m)
-        assert deepened == forcing_number_by_hitting_set(g, m, alternating_cycle_keys(g, m))
+        assert deepened == listed == reference_min_transversal(m, full), m
         for masks, start, (f, witness) in calls:
             assert (f, witness) == reference_min_transversal(m, masks), (m, start)
             assert witness.bit_count() == f
             assert start <= f, (m, start)
             highest_start = max(highest_start, start)
     assert highest_start > 0  # some round starts at the last round's f
+    assert short_rounds > 0
 
 
 def test_gp52_forcing_numbers_published(gp52, gp52_matchings):
@@ -632,6 +650,24 @@ def node_bound_packing(cycles):
 
     grow(cycles, ())
     return best
+
+
+def test_packing_stopped_at_the_forcing_number_is_the_unbounded_packing():
+    # C <= f, and only a strictly larger family replaces the incumbent, so a
+    # search that stops once it holds f sets returns the unbounded search's
+    # family; some matchings have C = f, where the bound does stop it
+    g24 = build_gp(24, 2)
+    cases = [(g, m) for g in small_graphs() for m in enumerate_perfect_matchings(g)]
+    cases += [(g24, parse_matching(g24, text)) for text in GP24_MANY_CYCLES.values()]
+    stopped = 0
+    for g, m in cases:
+        keys = alternating_cycle_keys(g, m)
+        masks = [key & m for key in keys]
+        f = forcing_number_by_hitting_set(g, m, keys).forcing_number
+        packing = max_disjoint_sets(masks)
+        assert max_disjoint_sets(masks, f) == packing, (g, m)
+        stopped += len(packing) == f > 0
+    assert stopped > 0
 
 
 @pytest.mark.parametrize("n_cycles", sorted(GP24_MANY_CYCLES))
