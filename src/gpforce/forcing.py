@@ -21,13 +21,16 @@ a built-in correctness oracle.
 
 The alternating cycles come from a walk that extends each seed edge's open
 paths one step per level, so it meets each seed's cycles shortest first.
-A level entry holds the path's last vertex and its vertex and edge masks,
-not the path. A path is extended only if it can still close within the
-levels left: each seed's table of the fewest steps back to the seed, made
-once per matching when first needed, bounds that from below for every cap
-and every set of skipped edges. The walk yields one int per cycle, its
-canonical key. In a graph of N vertices and E edges, the key of a cycle
-with vertex set V and edge set S is
+A level entry is one int, not the path: the path's last vertex above its
+vertex mask above its edge mask. Each step is one word, made once per
+matching, that an entry takes by one AND test and one XOR. A path is
+extended only if it can still close within the seed's levels: a seed's
+cycles have no more matched edges than it has unskipped ones at or above
+it, which caps its levels, and each seed's table of the fewest steps back
+to the seed, made once per matching when first needed, bounds the steps
+left from below for every cap and every set of skipped edges. The walk
+yields one int per cycle, its canonical key. In a graph of N vertices and
+E edges, the key of a cycle with vertex set V and edge set S is
 
     (|V| << N | the N-bit complement of rev(V)) << E | S,
 
@@ -64,7 +67,6 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from functools import cache
 from typing import NamedTuple
 
 from .graphs import DomainError, Graph
@@ -119,50 +121,61 @@ def _alternating_cycle_walker(g: Graph, m: int):
     cycle. A cycle through a vertex uses that vertex's matched edge, so the
     cycles that miss `avoid` are exactly those that miss its vertices.
 
-    Each vertex's steps are tabulated once per matching: a step from v takes
-    an unmatched edge v-w, then w's matched edge to its partner x. One seed's
-    paths are walked level by level: level d holds the paths of d steps
-    after a, b, each as an entry (v, vmask, edges), and every step from an
-    entry either closes a cycle of 2d + 2 vertices or goes to level d + 1.
-    So a seed's cycles come out shortest first. A walk capped at cap
-    vertices (an uncapped walk is capped at N) walks at most cap // 2
-    levels, 0 to cap // 2 - 1.
+    One seed's paths are walked level by level: level d holds the paths of
+    d steps after a, b, and every step from a path either closes a cycle of
+    2d + 2 vertices or goes to level d + 1. So a seed's cycles come out
+    shortest first. A step from v takes an unmatched edge v-w, then w's
+    matched edge to its partner x. A seed walks at most cap // 2 levels (an
+    uncapped walk is capped at N), 0 to cap // 2 - 1, and at most above + 1,
+    where `above` counts the seeds walked before it: its paths may cross no
+    matched edge but e0 and those above it that `avoid` misses, so it closes
+    no cycle of more than above + 1 matched edges, at level above.
 
-    No path is pushed that cannot close by the last level. togo[x], per
-    seed, is the fewest steps from x that end by closing on a, crossing only
-    the vertices of matched edges above e0 (the closing step counts as
+    No path is pushed that cannot close by the seed's last level. togo[x],
+    per seed, is the fewest steps from x that end by closing on a, crossing
+    only the vertices of matched edges above e0 (the closing step counts as
     one). A backward search over the steps computes it the first time a walk
     reaches the seed, and later walks reuse it. It ignores `avoid` and the
     path's own vertices, which only block more steps, so it is a lower
     bound for every cap and `avoid`. A path pushed from level d to x cannot
     close before level d + togo[x], so it is pushed only when togo[x] <=
-    cap // 2 - 1 - d, the last level less d; a seed is skipped when togo[b]
-    > cap // 2. Every entry dropped would close no cycle, and the others
-    keep their order, so the keys and their order do not change.
+    levels - 1 - d, the last level less d; a seed is skipped when togo[b]
+    > levels. Every entry dropped, by this bound or by the level cap, would
+    close no cycle, and the others keep their order, so the keys and their
+    order do not change.
 
-    vmask holds vertex v as bit N-1-v, as the key does. It holds the path's
-    vertices, the vertices of `avoid` and those of every matched edge up to
-    e0, so one test rejects a revisit and every vertex this seed may not
-    use. As m covers every vertex, these blocked vertices are all of them at
-    the highest seed, and each seed frees its own two for the seeds below
-    it. edges is the bitmask of the path's edges, which names parallel edges
-    apart. When a step reaches a again, the key is packed from vmask, with
-    the blocked vertices other than a and b taken out, and from edges plus
-    the step's two edges.
+    A level entry is one int, the path's last vertex above its vertex mask
+    above its edge mask: (v << N | vmask) << E | edges. vmask holds vertex
+    v as bit N-1-v, as the key does. It holds the path's vertices, the
+    vertices of `avoid` and those of every matched edge up to e0, so one
+    test rejects a revisit and every vertex this seed may not use. As m
+    covers every vertex, these blocked vertices are all of them at the
+    highest seed, and each seed frees its own two for the seeds below it.
+    edges is the bitmask of the path's edges, which names parallel edges
+    apart. Each step is tabulated once per matching as the bits of w and x
+    in the vertex field and one word: those bits, v ^ x in the last-vertex
+    field and the step's two edges. A step is taken when the entry has
+    neither bit, and then none of the word's bits but the last vertex's is
+    in the entry either, so entry ^ word is the path one step on. When a
+    step reaches a again, which vmask blocks, the key is packed from vmask,
+    with the blocked vertices other than a and b taken out, and from edges
+    with the step's two edges ORed in: the matched one is e0, already set.
     """
     if not is_perfect_matching(g, m):
         raise DomainError("not a perfect matching of this graph")
     n = g.num_vertices
     num_edges = g.num_edges
-    everyone = (1 << n) - 1
-    bit = [1 << (n - 1 - v) for v in range(n)]
+    vertex_shift = n + num_edges  # an entry shifted by this is its last vertex
+    below = (1 << vertex_shift) - 1  # an entry's vertex and edge fields
+    everyone = below ^ ((1 << num_edges) - 1)  # the whole vertex field
+    bit = [1 << (vertex_shift - 1 - v) for v in range(n)]  # v's bit in that field
     partner = [-1] * n
     matched_edge_at = [-1] * n
     for eid in iter_bits(m):
         a, b = g.edges[eid]
         partner[a], partner[b] = b, a
         matched_edge_at[a] = matched_edge_at[b] = eid
-    # steps[v]: (w, x, bits of w and x, bits of the edges v-w and w-x), and
+    # steps[v]: (w, x, bits of w and x, word) for each step v-w-x, and
     # into[x]: (v, bits of w and x) for the same steps, by where they end
     steps = [[] for _ in range(n)]
     into = [[] for _ in range(n)]
@@ -170,19 +183,25 @@ def _alternating_cycle_walker(g: Graph, m: int):
         for eid, w in pairs:
             if not m >> eid & 1:
                 x = partner[w]
-                step_edges = 1 << eid | 1 << matched_edge_at[w]
-                steps[v].append((w, x, bit[w] | bit[x], step_edges))
-                into[x].append((v, bit[w] | bit[x]))
+                wx = bit[w] | bit[x]
+                word = (v ^ x) << vertex_shift | wx | 1 << eid | 1 << matched_edge_at[w]
+                steps[v].append((w, x, wx, word))
+                into[x].append((v, wx))
 
-    # blocked_at[e0]: the vertices of the matched edges up to e0
+    # seeds: (e0, a, b, bits of a and b), highest e0 first; blocked_at[e0]:
+    # the vertices of the matched edges up to e0
+    seeds = []
     blocked_at = {}
     blocked = everyone
     for e0 in reversed(list(iter_bits(m))):
         blocked_at[e0] = blocked
-        p, q = g.edges[e0]
-        blocked ^= bit[p] | bit[q]
+        a, b = g.edges[e0]
+        seed = bit[a] | bit[b]
+        seeds.append((e0, a, b, seed))
+        blocked ^= seed
 
-    @cache
+    togo_at = [None] * num_edges  # each seed's togo, made when first walked
+
     def distances(e0: int) -> list[int]:
         # togo[v]: the fewest steps from v that close on a, through the
         # vertices of the matched edges above e0 alone; n when there are none
@@ -202,30 +221,30 @@ def _alternating_cycle_walker(g: Graph, m: int):
                         togo[v] = t
                         reached.append(v)
             frontier = reached
+        togo_at[e0] = togo
         return togo
 
     def walk(cap: int | None = None, avoid: int = 0):
-        levels = (n if cap is None else cap) // 2
+        cap_levels = (n if cap is None else cap) // 2
         blocked = everyone
-        for e0 in reversed(list(iter_bits(m & ~avoid))):
-            a, b = g.edges[e0]
-            seed = bit[a] | bit[b]
-            togo = distances(e0)
-            level = [(b, blocked, 1 << e0)] if togo[b] <= levels else []
+        for above, (e0, a, b, seed) in enumerate([s for s in seeds if not avoid >> s[0] & 1]):
+            togo = togo_at[e0] or distances(e0)
+            levels = above + 1 if above < cap_levels else cap_levels
+            level = [b << vertex_shift | blocked | 1 << e0] if togo[b] <= levels else []
+            head = 2 << vertex_shift  # the length field of the keys this level closes
             left = levels - 1  # the steps a path pushed from this level may take
             while level:
                 deeper = []
                 push = deeper.append
-                for v, vmask, edges in level:
-                    for w, x, wx, step_edges in steps[v]:
-                        if not vmask & wx:
+                for entry in level:
+                    for w, x, wx, word in steps[entry >> vertex_shift]:
+                        if not entry & wx:
                             if togo[x] <= left:  # it can still close in time
-                                push((x, vmask | wx, edges | step_edges))
+                                push(entry ^ word)
                         elif w == a:  # a is blocked, so a closing step lands here
-                            vertex_set = vmask ^ blocked | seed
-                            head = vertex_set.bit_count() << n | everyone ^ vertex_set
-                            yield head << num_edges | edges | step_edges
+                            yield head | (entry | word) & below ^ everyone ^ blocked ^ seed
                 level = deeper
+                head += 2 << vertex_shift
                 left -= 1
             blocked ^= seed  # the seeds below may use this edge
 
@@ -380,8 +399,10 @@ def forcing_number_by_hitting_set(
     `keys` is alternating_cycle_keys(g, m). The witness is the first minimum
     transversal of the cycles' matched edges, key & m, in that canonical
     order, in _min_transversal's depth-first order. Raises DomainError when
-    m is not a perfect matching of g, or when a key has no matched edge, as
-    no edge set meets it and the search below would never end.
+    m is not a perfect matching of g, when a key has no matched edge, as no
+    edge set meets it, and when the keys do not ascend, as the prefix up to
+    a length would then miss a cycle the witness leaves unhit: the search
+    below would never end.
 
     The search deepens over the cycles. Starting from the empty family, it
     runs on the canonical prefix of cycles of at most `cap` vertices, and a
@@ -405,13 +426,15 @@ def forcing_number_by_hitting_set(
     have fewer than f_P picks, and H*, which meets every cycle, is an F-leaf.
     No F-leaf of size f comes before H* in depth-first order.
     """
-    if not is_perfect_matching(g, m):
-        raise DomainError("not a perfect matching of this graph")
     shift = g.num_vertices + g.num_edges  # a key shifted by this is its length
     if keys is None:
-        walk = _alternating_cycle_walker(g, m)
+        walk = _alternating_cycle_walker(g, m)  # which checks m
+    elif not is_perfect_matching(g, m):
+        raise DomainError("not a perfect matching of this graph")
     elif not all(key & m for key in keys):
         raise DomainError("a key has no edge of the matching")
+    elif keys != sorted(keys):  # a prefix up to a length must hold every shorter key
+        raise DomainError("the keys do not ascend")
     else:
         def walk(cap: int | None = None, avoid: int = 0):
             if cap is None:

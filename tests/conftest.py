@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from gpforce.graphs import Graph, build_gp
-from gpforce.matchings import parse_matching
+from gpforce.matchings import iter_bits, parse_matching
 from gpforce.polynomial import Orbit
 
 
@@ -137,6 +137,84 @@ def reference_min_transversal(m: int, cycle_masks: list[int]) -> tuple[int, int]
 
     descend(0, 0, cycle_masks)
     return best_size, best_mask
+
+
+def reference_alternating_cycle_walker(g: Graph, m: int):
+    """walk(cap=None, avoid=0) as forcing._alternating_cycle_walker gives it,
+    by the walk it replaced: each level entry a tuple (last vertex, vertex
+    mask, edge mask), and every seed's levels capped at cap // 2 alone.
+    Keys and walk order must be the same. The reference for the kernel's
+    one-int entries and per-seed level cap."""
+    n = g.num_vertices
+    num_edges = g.num_edges
+    everyone = (1 << n) - 1
+    bit = [1 << (n - 1 - v) for v in range(n)]
+    partner = [-1] * n
+    matched_edge_at = [-1] * n
+    for eid in iter_bits(m):
+        a, b = g.edges[eid]
+        partner[a], partner[b] = b, a
+        matched_edge_at[a] = matched_edge_at[b] = eid
+    steps = [[] for _ in range(n)]
+    into = [[] for _ in range(n)]
+    for v, pairs in enumerate(g.incident):
+        for eid, w in pairs:
+            if not m >> eid & 1:
+                x = partner[w]
+                step_edges = 1 << eid | 1 << matched_edge_at[w]
+                steps[v].append((w, x, bit[w] | bit[x], step_edges))
+                into[x].append((v, bit[w] | bit[x]))
+    blocked_at = {}
+    blocked = everyone
+    for e0 in reversed(list(iter_bits(m))):
+        blocked_at[e0] = blocked
+        p, q = g.edges[e0]
+        blocked ^= bit[p] | bit[q]
+
+    def distances(e0: int) -> list[int]:
+        _, b = g.edges[e0]
+        blocked = blocked_at[e0]
+        togo = [n] * n
+        frontier = [v for v, _ in into[b]]
+        for v in frontier:
+            togo[v] = 1
+        t = 1
+        while frontier:
+            t += 1
+            reached = []
+            for x in frontier:
+                for v, wx in into[x]:
+                    if togo[v] > t and not wx & blocked:
+                        togo[v] = t
+                        reached.append(v)
+            frontier = reached
+        return togo
+
+    def walk(cap=None, avoid=0):
+        levels = (n if cap is None else cap) // 2
+        blocked = everyone
+        for e0 in reversed(list(iter_bits(m & ~avoid))):
+            a, b = g.edges[e0]
+            seed = bit[a] | bit[b]
+            togo = distances(e0)
+            level = [(b, blocked, 1 << e0)] if togo[b] <= levels else []
+            left = levels - 1
+            while level:
+                deeper = []
+                for v, vmask, edges in level:
+                    for w, x, wx, step_edges in steps[v]:
+                        if not vmask & wx:
+                            if togo[x] <= left:
+                                deeper.append((x, vmask | wx, edges | step_edges))
+                        elif w == a:
+                            vertex_set = vmask ^ blocked | seed
+                            head = vertex_set.bit_count() << n | everyone ^ vertex_set
+                            yield head << num_edges | edges | step_edges
+                level = deeper
+                left -= 1
+            blocked ^= seed
+
+    return walk
 
 
 def brute_single_cycle_partners(g: Graph, m: int, all_matchings: list[int]) -> list[int]:

@@ -19,6 +19,7 @@ from conftest import (
     brute_max_packing,
     brute_single_cycle_partners,
     cycle_graph,
+    reference_alternating_cycle_walker,
     reference_min_transversal,
     reference_orbits,
 )
@@ -219,31 +220,47 @@ def test_ascending_keys_give_the_canonical_order():
             assert sorted(keys) == by_fields, (g, m)
 
 
-@pytest.mark.parametrize("g", small_graphs(), ids=repr)
-def test_capped_walker_matches_filtered_full_list(g):
+def walk_cases():
+    # every matching of small_graphs(), and the three GP(24,2) matchings
+    # with the most alternating cycles
+    cases = [(g, enumerate_perfect_matchings(g)) for g in small_graphs()]
+    g24 = build_gp(24, 2)
+    cases.append((g24, [parse_matching(g24, text) for text in GP24_MANY_CYCLES.values()]))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "g, ms", [pytest.param(g, ms, id=repr(g)) for g, ms in walk_cases()]
+)
+def test_capped_walker_matches_filtered_full_list(g, ms):
     # every cap, with nothing avoided, with the witness (which leaves no
-    # cycle) and with each of its edges alone (which leaves some)
+    # cycle) and with each of its edges alone (which leaves some); the walk
+    # yields the reference walker's keys in its order
     shift = g.num_vertices + g.num_edges  # a key shifted by this is its length
-    for m in enumerate_perfect_matchings(g):
+    for m in ms:
         full = enumerate_alternating_cycles(g, m)
         keys = alternating_cycle_keys(g, m)  # keys[i] is the key of full[i]
         walk = _alternating_cycle_walker(g, m)
+        reference = reference_alternating_cycle_walker(g, m)
         witness = forcing_number_by_hitting_set(g, m, keys).witness
         for avoid in (0, witness, *(1 << e for e in iter_bits(witness))):
             in_walk_order = list(walk(avoid=avoid))
+            assert in_walk_order == list(reference(avoid=avoid)), (g, m, avoid)
             for cap in range(0, g.num_vertices + 3):
+                capped = list(walk(cap, avoid))
+                assert capped == list(reference(cap, avoid)), (g, m, avoid, cap)
                 expected = [
                     key
                     for key, c in zip(keys, full)
                     if len(c.vertices) <= cap and not c.matched_edges & avoid
                 ]
-                assert sorted(walk(cap, avoid)) == expected, (g, m, avoid, cap)
+                assert sorted(capped) == expected, (g, m, avoid, cap)
                 # a cap only cuts subtrees: the uncapped walk's order, filtered
-                assert list(walk(cap, avoid)) == [
+                assert capped == [
                     k for k in in_walk_order if k >> shift <= cap
                 ], (g, m, avoid, cap)
             uncapped = [k for k, c in zip(keys, full) if not c.matched_edges & avoid]
-            assert sorted(walk(avoid=avoid)) == uncapped
+            assert sorted(in_walk_order) == uncapped
 
 
 def key_of(g, cycle):
@@ -256,10 +273,11 @@ def key_of(g, cycle):
 
 @pytest.mark.parametrize("n", [22, 24])
 def test_capped_walk_matches_uncapped_order_on_orbit_representatives(n):
-    # the distance bound only drops paths that cannot close within the cap:
-    # every even cap, with nothing avoided and with the witness avoided,
-    # yields the uncapped walk's keys of at most that length, in its order,
-    # and the reference walk's cycles. The witness comes from the full key
+    # the distance bound and the per-seed level cap only drop paths that
+    # cannot close within the cap: every even cap, with nothing avoided and
+    # with the witness avoided, yields the reference walker's keys in its
+    # order, the uncapped walk's keys of at most that length, in its order,
+    # and the recursive walk's cycles. The witness comes from the full key
     # list, because the deepening never ends if a capped walk drops a cycle
     g = build_gp(n, 2)
     shift = g.num_vertices + g.num_edges
@@ -267,6 +285,7 @@ def test_capped_walk_matches_uncapped_order_on_orbit_representatives(n):
     for orbit in reference_orbits(g, ms, [0] * len(ms), group="dihedral"):
         m = orbit.representative
         walk = _alternating_cycle_walker(g, m)
+        reference_walk = reference_alternating_cycle_walker(g, m)
         reference = recursive_alternating_cycles(g, m)
         witness = forcing_number_by_hitting_set(g, m, sorted(walk())).witness
         for avoid in (0, witness):
@@ -274,6 +293,7 @@ def test_capped_walk_matches_uncapped_order_on_orbit_representatives(n):
             keys = [key_of(g, c) for c in reference if not c.matched_edges & avoid]
             for cap in range(0, g.num_vertices + 1, 2):
                 capped = list(walk(cap, avoid))
+                assert capped == list(reference_walk(cap, avoid)), (m, avoid, cap)
                 assert capped == [k for k in in_walk_order if k >> shift <= cap], (m, cap)
                 assert sorted(capped) == [k for k in keys if k >> shift <= cap], (m, cap)
 
@@ -393,6 +413,41 @@ def test_hitting_set_rejects_a_key_with_no_matched_edge():
             forcing_number_by_hitting_set(g, m, bad)
         with pytest.raises(DomainError):
             compute_forcing(g, m, "hitting_set", bad)
+
+
+def test_hitting_set_rejects_keys_that_do_not_ascend(deadline):
+    # the round on the prefix up to the first unhit key's length misses that
+    # key when longer keys come first, so the same witness leaves it unhit
+    # and the deepening repeated that round forever
+    g = build_gp(6, 2)
+    m = 0x12264
+    k = alternating_cycle_keys(g, m)
+    assert forcing_number_by_hitting_set(g, m, k) == forcing_number_by_hitting_set(g, m)
+    shuffled = [k[0], k[1], k[4], k[5], k[2], k[3], k[6]]
+    with pytest.raises(DomainError, match="do not ascend"):
+        forcing_number_by_hitting_set(g, m, shuffled)
+    with pytest.raises(DomainError, match="do not ascend"):
+        compute_forcing(g, m, "hitting_set", shuffled)
+
+
+def test_hitting_set_checks_the_matching_once(monkeypatch, gp52, gp52_matchings):
+    # without keys the walker checks m, with keys the hitting set does; a
+    # set that is not a perfect matching gets the same error either way
+    calls = []
+    real = forcing.is_perfect_matching
+    monkeypatch.setattr(
+        forcing, "is_perfect_matching", lambda g, m: calls.append(m) or real(g, m)
+    )
+    m = gp52_matchings["m1"]
+    keys = alternating_cycle_keys(gp52, m)
+    for given in (None, keys):
+        calls.clear()
+        forcing_number_by_hitting_set(gp52, m, given)
+        assert calls == [m], given
+    four_spokes = edge_set([5, 6, 7, 8])
+    for given in (None, []):
+        with pytest.raises(DomainError, match="^not a perfect matching of this graph$"):
+            forcing_number_by_hitting_set(gp52, four_spokes, given)
 
 
 @pytest.mark.parametrize("n", range(15, 21))
@@ -725,10 +780,10 @@ def test_compute_forcing_dispatch(gp52, gp52_matchings):
 @pytest.fixture
 def deadline():
     """Fail the test with TimeoutError instead of hanging past 60 s; the
-    error interrupts a blocked read, so the fan-out still reaps its children."""
+    error interrupts a blocked read, so a fan-out still reaps its children."""
 
     def expire(signum, frame):
-        raise TimeoutError("the fan-out did not return within 60 s")
+        raise TimeoutError("the test did not finish within 60 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)
