@@ -202,7 +202,7 @@ def cmd_graph(args, out) -> int:
     if args.fmt == "dot":
         out.write(g.to_dot())
     elif args.fmt == "json":
-        out.write(g.to_json())
+        out.write(_dumps(g.to_json_dict()))
     else:
         problems = validate(g)
         out.write(f"{g!r}: {g.num_vertices} vertices, {g.num_edges} edges, 3-regular\n")

@@ -27,8 +27,8 @@ matching, that an entry takes by one AND test and one XOR. A path is
 extended only if it can still close within the seed's levels: a seed's
 cycles have no more matched edges than it has unskipped ones at or above
 it, which caps its levels, and each seed's table of the fewest steps back
-to the seed, made once per matching when first needed, bounds the steps
-left from below for every cap and every set of skipped edges. The walk
+to the seed, made with the list of seeds once per matching, bounds the
+steps left from below for every cap and every set of skipped edges. The walk
 yields one int per cycle, its canonical key. In a graph of N vertices and
 E edges, the key of a cycle with vertex set V and edge set S is
 
@@ -134,13 +134,15 @@ def _alternating_cycle_walker(g: Graph, m: int):
     No path is pushed that cannot close by the seed's last level. togo[x],
     per seed, is the fewest steps from x that end by closing on a, crossing
     only the vertices of matched edges above e0 (the closing step counts as
-    one). A backward search over the steps computes it the first time a walk
-    reaches the seed, and later walks reuse it. It ignores `avoid` and the
-    path's own vertices, which only block more steps, so it is a lower
-    bound for every cap and `avoid`. A path pushed from level d to x cannot
-    close before level d + togo[x], so it is pushed only when togo[x] <=
-    levels - 1 - d, the last level less d; a seed is skipped when togo[b]
-    > levels. Every entry dropped, by this bound or by the level cap, would
+    one). A backward search over the step table computes it as the seeds are
+    listed, once per matching, so every walk reads every seed's table: the
+    steps into x start at the neighbours of w = partner[x] by an unmatched
+    edge, and all of them cross w and x. It ignores `avoid` and the path's
+    own vertices, which only block more steps, so it is a lower bound for
+    every cap and `avoid`. A path pushed from level d to x cannot close
+    before level d + togo[x], so it is pushed only when togo[x] <=
+    levels - 1 - d, the last level less d; a seed is skipped when togo[b] >
+    levels. Every entry dropped, by this bound or by the level cap, would
     close no cycle, and the others keep their order, so the keys and their
     order do not change.
 
@@ -175,10 +177,8 @@ def _alternating_cycle_walker(g: Graph, m: int):
         a, b = g.edges[eid]
         partner[a], partner[b] = b, a
         matched_edge_at[a] = matched_edge_at[b] = eid
-    # steps[v]: (w, x, bits of w and x, word) for each step v-w-x, and
-    # into[x]: (v, bits of w and x) for the same steps, by where they end
+    # steps[v]: (w, x, bits of w and x, word) for each step v-w-x
     steps = [[] for _ in range(n)]
-    into = [[] for _ in range(n)]
     for v, pairs in enumerate(g.incident):
         for eid, w in pairs:
             if not m >> eid & 1:
@@ -186,29 +186,16 @@ def _alternating_cycle_walker(g: Graph, m: int):
                 wx = bit[w] | bit[x]
                 word = (v ^ x) << vertex_shift | wx | 1 << eid | 1 << matched_edge_at[w]
                 steps[v].append((w, x, wx, word))
-                into[x].append((v, wx))
 
-    # seeds: (e0, a, b, bits of a and b), highest e0 first; blocked_at[e0]:
-    # the vertices of the matched edges up to e0
+    # seeds: (e0, a, b, bits of a and b, togo), highest e0 first, where
+    # togo[v] is the fewest steps from v that close on a, through the
+    # vertices of the matched edges above e0 alone; n when there are none
     seeds = []
-    blocked_at = {}
-    blocked = everyone
+    blocked = everyone  # the vertices of the matched edges up to e0
     for e0 in reversed(list(iter_bits(m))):
-        blocked_at[e0] = blocked
         a, b = g.edges[e0]
-        seed = bit[a] | bit[b]
-        seeds.append((e0, a, b, seed))
-        blocked ^= seed
-
-    togo_at = [None] * num_edges  # each seed's togo, made when first walked
-
-    def distances(e0: int) -> list[int]:
-        # togo[v]: the fewest steps from v that close on a, through the
-        # vertices of the matched edges above e0 alone; n when there are none
-        _, b = g.edges[e0]
-        blocked = blocked_at[e0]
         togo = [n] * n
-        frontier = [v for v, _ in into[b]]  # the steps into b cross a: they close
+        frontier = [v for v, _, _, _ in steps[a]]  # the steps into b cross a: they close
         for v in frontier:
             togo[v] = 1
         t = 1
@@ -216,19 +203,21 @@ def _alternating_cycle_walker(g: Graph, m: int):
             t += 1
             reached = []
             for x in frontier:
-                for v, wx in into[x]:
-                    if togo[v] > t and not wx & blocked:
-                        togo[v] = t
-                        reached.append(v)
+                w = partner[x]  # the steps into x come from w's neighbours
+                if not (bit[w] | bit[x]) & blocked:  # and cross w and x
+                    for v, _, _, _ in steps[w]:
+                        if togo[v] > t:
+                            togo[v] = t
+                            reached.append(v)
             frontier = reached
-        togo_at[e0] = togo
-        return togo
+        seed = bit[a] | bit[b]
+        seeds.append((e0, a, b, seed, togo))
+        blocked ^= seed
 
     def walk(cap: int | None = None, avoid: int = 0):
         cap_levels = (n if cap is None else cap) // 2
         blocked = everyone
-        for above, (e0, a, b, seed) in enumerate([s for s in seeds if not avoid >> s[0] & 1]):
-            togo = togo_at[e0] or distances(e0)
+        for above, (e0, a, b, seed, togo) in enumerate(s for s in seeds if not avoid >> s[0] & 1):
             levels = above + 1 if above < cap_levels else cap_levels
             level = [b << vertex_shift | blocked | 1 << e0] if togo[b] <= levels else []
             head = 2 << vertex_shift  # the length field of the keys this level closes
@@ -323,7 +312,8 @@ def is_forcing(g: Graph, m: int, s: int, criterion: str = "uniqueness") -> bool:
     criterion "uniqueness" counts perfect matchings containing s (forcing
     iff exactly one); criterion "cycles" checks that s meets the matched
     edges of every m-alternating cycle, by a walk that skips the vertices of
-    s and stops at the first cycle it closes. The two are provably
+    s and stops at the first cycle it closes (the walker builds every
+    seed's distance table before that cycle). The two are provably
     equivalent. Raises DomainError when m is not a perfect matching of g.
     """
     if not is_perfect_matching(g, m):
@@ -573,7 +563,8 @@ def compute_forcing(
     g: Graph, m: int, engine: str = "hitting_set", keys: list[int] | None = None
 ) -> ForcingResult:
     """Dispatch to one engine, or run both and insist they agree ("both"
-    then returns the hitting-set result).
+    then returns the hitting-set result): the same f, and each witness a
+    subset of m with f edges.
 
     `keys`, the already walked alternating_cycle_keys(g, m), goes to the
     hitting set; the subset search does not read it.
@@ -585,10 +576,13 @@ def compute_forcing(
     if engine == "both":
         hit = forcing_number_by_hitting_set(g, m, keys)
         sub = forcing_number_by_subset_search(g, m)
-        if hit.forcing_number != sub.forcing_number:
+        f = hit.forcing_number
+        if sub.forcing_number != f or any(
+            w & ~m or w.bit_count() != f for w in (hit.witness, sub.witness)
+        ):
             raise EngineMismatch(
                 f"engines disagree on {g!r}, matching {m:#x}: "
-                f"hitting_set={hit.forcing_number}, subset_search={sub.forcing_number}"
+                f"hitting_set={tuple(hit)}, subset_search={tuple(sub)}"
             )
         return hit
     raise DomainError(f"unknown engine {engine!r}")

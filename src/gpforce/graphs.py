@@ -113,11 +113,6 @@ class Graph:
             ],
         }
 
-    def to_json(self) -> str:
-        import json  # only this method needs it
-
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
     def __repr__(self):
         if self.gp_params is not None:
             return "GP({}, {})".format(*self.gp_params)

@@ -335,6 +335,34 @@ def test_engine_mismatch_exits_3(monkeypatch, capsys):
         assert "consistency" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "engine", ["forcing_number_by_hitting_set", "forcing_number_by_subset_search"]
+)
+@pytest.mark.parametrize("fault", ["short", "outside"])
+def test_engine_witness_fault_exits_3(monkeypatch, capsys, engine, fault):
+    # the engines agree on f, but one witness has an edge too few or an
+    # edge outside the matching: the library raises and poly exits 3
+    import gpforce.forcing as forcing_mod
+    from gpforce import build_gp, enumerate_perfect_matchings
+    from gpforce.forcing import EngineMismatch, ForcingResult, compute_forcing
+
+    real = getattr(forcing_mod, engine)
+
+    def faulty(g, m, *keys):
+        f, w = real(g, m, *keys)
+        low = w & -w
+        return ForcingResult(f, w ^ low if fault == "short" else w ^ low | ~m & (m + 1))
+
+    monkeypatch.setattr(forcing_mod, engine, faulty)
+    g = build_gp(5, 2)
+    for m in enumerate_perfect_matchings(g):
+        with pytest.raises(EngineMismatch):
+            compute_forcing(g, m, "both")
+    code, _ = run_cli("poly", "--n", "5", "--engine", "both", "--threads", "1")
+    assert code == EXIT_INTERNAL
+    assert "consistency" in capsys.readouterr().err
+
+
 def test_orbit_inconsistency_exits_3(monkeypatch, capsys):
     # a matching missing from the enumeration leaves its orbit's images
     # outside the list that analyze partitions

@@ -235,7 +235,9 @@ def walk_cases():
 def test_capped_walker_matches_filtered_full_list(g, ms):
     # every cap, with nothing avoided, with the witness (which leaves no
     # cycle) and with each of its edges alone (which leaves some); the walk
-    # yields the reference walker's keys in its order
+    # yields the reference walker's keys in its order. The reference runs
+    # once per avoided set, uncapped: a capped walk must give its keys of
+    # at most the cap, in its order
     shift = g.num_vertices + g.num_edges  # a key shifted by this is its length
     for m in ms:
         full = enumerate_alternating_cycles(g, m)
@@ -246,21 +248,18 @@ def test_capped_walker_matches_filtered_full_list(g, ms):
         for avoid in (0, witness, *(1 << e for e in iter_bits(witness))):
             in_walk_order = list(walk(avoid=avoid))
             assert in_walk_order == list(reference(avoid=avoid)), (g, m, avoid)
+            left = [(len(c.vertices), key) for key, c in zip(keys, full)
+                    if not c.matched_edges & avoid]
             for cap in range(0, g.num_vertices + 3):
                 capped = list(walk(cap, avoid))
-                assert capped == list(reference(cap, avoid)), (g, m, avoid, cap)
-                expected = [
-                    key
-                    for key, c in zip(keys, full)
-                    if len(c.vertices) <= cap and not c.matched_edges & avoid
-                ]
+                expected = [key for length, key in left if length <= cap]
                 assert sorted(capped) == expected, (g, m, avoid, cap)
-                # a cap only cuts subtrees: the uncapped walk's order, filtered
+                # a cap only cuts subtrees: the uncapped walk's order, which
+                # is the reference's, filtered
                 assert capped == [
                     k for k in in_walk_order if k >> shift <= cap
                 ], (g, m, avoid, cap)
-            uncapped = [k for k, c in zip(keys, full) if not c.matched_edges & avoid]
-            assert sorted(in_walk_order) == uncapped
+            assert sorted(in_walk_order) == [key for _, key in left]
 
 
 def key_of(g, cycle):
@@ -274,11 +273,12 @@ def key_of(g, cycle):
 @pytest.mark.parametrize("n", [22, 24])
 def test_capped_walk_matches_uncapped_order_on_orbit_representatives(n):
     # the distance bound and the per-seed level cap only drop paths that
-    # cannot close within the cap: every even cap, with nothing avoided and
-    # with the witness avoided, yields the reference walker's keys in its
-    # order, the uncapped walk's keys of at most that length, in its order,
-    # and the recursive walk's cycles. The witness comes from the full key
-    # list, because the deepening never ends if a capped walk drops a cycle
+    # cannot close within the cap: with nothing avoided and with the witness
+    # avoided, the uncapped walk yields the reference walker's keys in its
+    # order, and every even cap yields those of at most that length, in that
+    # order, and the recursive walk's cycles. The witness comes from the full
+    # key list, because the deepening never ends if a capped walk drops a
+    # cycle
     g = build_gp(n, 2)
     shift = g.num_vertices + g.num_edges
     ms = enumerate_perfect_matchings(g)
@@ -290,10 +290,10 @@ def test_capped_walk_matches_uncapped_order_on_orbit_representatives(n):
         witness = forcing_number_by_hitting_set(g, m, sorted(walk())).witness
         for avoid in (0, witness):
             in_walk_order = list(walk(avoid=avoid))
+            assert in_walk_order == list(reference_walk(avoid=avoid)), (m, avoid)
             keys = [key_of(g, c) for c in reference if not c.matched_edges & avoid]
             for cap in range(0, g.num_vertices + 1, 2):
                 capped = list(walk(cap, avoid))
-                assert capped == list(reference_walk(cap, avoid)), (m, avoid, cap)
                 assert capped == [k for k in in_walk_order if k >> shift <= cap], (m, cap)
                 assert sorted(capped) == [k for k in keys if k >> shift <= cap], (m, cap)
 
